@@ -37,7 +37,10 @@ def _load_hardware(args) -> costmodel.HardwareSystem:
         raise ConfigError("--hw is required (a hardware file or preset:<A..M>[:<total PEs>])")
     if args.hw.startswith("preset:"):
         parts = args.hw.split(":")
-        total_pes = int(parts[2]) if len(parts) > 2 else 4096
+        try:
+            total_pes = int(parts[2]) if len(parts) > 2 else 4096
+        except ValueError:
+            raise ConfigError(f"--hw {args.hw!r}: total PEs must be an integer") from None
         return costmodel.preset_system(parts[1], total_pes=total_pes)
     return costmodel.load_hardware_file(args.hw)
 

@@ -32,7 +32,7 @@ def det_rand(seed: int, source: str, frame: int) -> float:
     always give the identical value, across processes and platforms.
     """
     digest = hashlib.blake2b(
-        f"{seed}|{source}|{frame}".encode("ascii"), digest_size=8
+        f"{seed}|{source}|{frame}".encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big") / 2**64
 

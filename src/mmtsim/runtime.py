@@ -1,10 +1,21 @@
 """Discrete-event dispatcher: runs a request stream on modeled hardware.
 
-The loop is event-driven over request arrivals and unit completions. A
-request is ready once its arrival time has passed, every data dependency
+A request is ready once its arrival time has passed, every data dependency
 for its frame has completed, and every probabilistic gate has fired true.
 Launched inferences run to completion (no preemption). A request that has
 not launched when the next request of the same model arrives is dropped.
+
+Events: arrivals are sorted once by (request time, model, request index)
+and walked with a cursor; only running inferences sit in a heap of
+(end time, unit rank, stream position), at most one entry per unit. At
+equal timestamps, completions free their units in unit id order and
+resolve the gates downstream of them, then arrivals apply the drop rule,
+then free units, lowest id first, take the policy's pick of the ready set.
+
+State: per-request state lives in flat lists indexed by stream position.
+A request's status is set exactly once, when it launches (completed) or
+fails (dropped or untriggered); requests still waiting when the stream
+runs out are dropped.
 
 A single simulation is strictly single-threaded and deterministic; multiple
 simulations can run concurrently since all inputs are immutable.
@@ -14,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import heapq
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -158,37 +169,6 @@ def eval_control_gate(edge: DependencyEdge, upstream_frame: int, seed: int) -> b
     return det_rand(seed, f"gate:{edge.key}", upstream_frame) < edge.trigger_probability
 
 
-def drop_superseded(
-    queue: dict[str, InferenceRequest], arriving: InferenceRequest
-) -> list[InferenceRequest]:
-    """Apply the frame-drop rule to a queue of un-launched requests.
-
-    When request k+1 of a model arrives while request k has not started,
-    request k is dropped. Launched requests are not in the queue and are
-    never dropped; distinct models never supersede each other.
-    """
-    prev = queue.get(arriving.model)
-    if prev is not None and prev.request_index < arriving.request_index:
-        del queue[arriving.model]
-        return [prev]
-    return []
-
-
-# Event kinds at equal timestamps: completions free units first, then
-# arrivals apply the drop rule, then the dispatcher fills free units.
-_EV_COMPLETION = 0
-_EV_ARRIVAL = 1
-
-
-@dataclass
-class _ReqState:
-    entry: TimelineEntry
-    arrived: bool = False
-    launched: bool = False
-    unresolved: int = 0  # anchored dependencies not yet fired true
-    blocked: bool = False  # an anchor terminally failed; can never launch
-
-
 def simulate(
     scenario: UsageScenario,
     stream: RequestStream,
@@ -200,117 +180,113 @@ def simulate(
     """Run the stream on the hardware system and return the event log."""
     if stream.scenario != scenario.id:
         raise ConfigError(f"stream was generated for {stream.scenario!r}, not {scenario.id!r}")
+    units = sorted(hw.units, key=lambda u: u.id)  # a unit's rank is its index here
+    unit_ids = [u.id for u in units]
+    lat_us: dict[str, list[int]] = {}  # model -> latency in microseconds, by unit rank
+    energy: dict[str, list[float]] = {}  # model -> energy in mJ, by unit rank
     for model_id in scenario.model_ids:
-        for unit in hw.units:
-            costs.lookup(model_id, unit.id)  # fail before simulating
+        cost = {u.id: costs.lookup(model_id, u.id) for u in hw.units}  # fail before simulating
+        lat_us[model_id] = [max(1, round(cost[uid].latency_ms * US_PER_MS)) for uid in unit_ids]
+        energy[model_id] = [cost[uid].energy_mj for uid in unit_ids]
     if isinstance(policy, str):
         policy = make_policy(policy, scenario)
     if seed is None:
         seed = stream.seed
 
-    entries = [TimelineEntry(request=r) for r in stream.requests]
-    states: dict[tuple[str, int], _ReqState] = {
-        (e.request.model, e.request.request_index): _ReqState(entry=e) for e in entries
-    }
+    requests = stream.requests
+    n = len(requests)
+
+    # Request state, indexed by stream position.
+    status: list[str | None] = [None] * n  # set once: launched (COMPLETED) or failed
+    unresolved = [0] * n  # anchored dependencies not yet fired true
+    blocked = [False] * n  # an anchor terminally failed; can never launch
+    launched: dict[int, TimelineEntry] = {}  # position -> entry of a launched request
+    dependents: dict[int, list[tuple[DependencyEdge, int]]] = {}  # anchor -> (edge, downstream)
 
     # Anchor each dependency edge of a request to the latest upstream request
     # whose frame does not exceed the downstream frame.
-    frames_by_model: dict[str, list[int]] = {}
-    for r in stream.requests:
-        frames_by_model.setdefault(r.model, []).append(r.frame_index)
-    for fs in frames_by_model.values():
-        fs.sort()
-
-    dependents: dict[tuple[str, int], list[tuple[DependencyEdge, str, int]]] = {}
-    for entry_spec in scenario.entries:
-        for edge in entry_spec.dependencies:
-            up_frames = frames_by_model.get(edge.upstream, [])
-            for r in stream.by_model(entry_spec.model):
-                pos = bisect_right(up_frames, r.frame_index) - 1
-                if pos < 0:
+    edges = [(entry.model, edge) for entry in scenario.entries for edge in entry.dependencies]
+    if edges:
+        by_model: dict[str, list[int]] = {}
+        for p, r in enumerate(requests):
+            by_model.setdefault(r.model, []).append(p)
+        for model_id, edge in edges:
+            ups = by_model.get(edge.upstream, [])
+            up_frames = sorted(requests[q].frame_index for q in ups)
+            up_by_index = {requests[q].request_index: q for q in ups}
+            for p in by_model.get(model_id, ()):
+                k = bisect_right(up_frames, requests[p].frame_index) - 1
+                if k < 0:
                     continue  # no upstream frame precedes; nothing to wait on
-                anchor = (edge.upstream, pos)
-                dependents.setdefault(anchor, []).append((edge, r.model, r.request_index))
-                states[(r.model, r.request_index)].unresolved += 1
+                dependents.setdefault(up_by_index[k], []).append((edge, p))
+                unresolved[p] += 1
 
-    events: list[tuple[int, int, str, str, int]] = []
-    for r in stream.requests:
-        heapq.heappush(events, (r.t_req_us, _EV_ARRIVAL, "", r.model, r.request_index))
+    def fail(p: int, why: str) -> None:
+        status[p] = why
+        for _, d in dependents.get(p, ()):  # downstream can never fire now
+            blocked[d] = True
 
-    pending: dict[str, InferenceRequest] = {}  # arrived, un-launched, unresolved status
-    busy: dict[str, tuple[str, int] | None] = {u.id: None for u in hw.units}
-    units_in_order = sorted(hw.units, key=lambda u: u.id)
+    arrival_key = [(r.t_req_us, r.model, r.request_index) for r in requests]
+    arrivals = sorted(range(n), key=arrival_key.__getitem__)
+    arrival_us = [requests[p].t_req_us for p in arrivals]
+    completions: list[tuple[int, int, int]] = []  # (t_end_us, unit rank, position)
+    free = list(range(len(units)))  # ranks of idle units, ascending
+    pending: dict[str, int] = {}  # model -> its arrived, waiting request
+    cursor = 0
+    while cursor < n or completions:
+        if completions and (cursor == n or completions[0][0] <= arrival_us[cursor]):
+            now = completions[0][0]
+        else:
+            now = arrival_us[cursor]
 
-    def fail(key: tuple[str, int], status: str) -> None:
-        st = states[key]
-        st.entry.status = status
-        for _, dm, dk in dependents.get(key, ()):  # downstream can never fire now
-            states[(dm, dk)].blocked = True
+        # Completions free their units (lowest rank first) and resolve gates.
+        while completions and completions[0][0] == now:
+            _, rank, p = heapq.heappop(completions)
+            insort(free, rank)
+            if p in dependents:
+                up_frame = requests[p].frame_index
+                for edge, d in dependents[p]:
+                    if status[d] is not None:
+                        continue
+                    if eval_control_gate(edge, up_frame, seed):
+                        unresolved[d] -= 1
+                    else:
+                        model = requests[d].model
+                        if pending.get(model) == d:
+                            del pending[model]
+                        fail(d, UNTRIGGERED)
 
-    def resolve_completion(key: tuple[str, int]) -> None:
-        up_frame = states[key].entry.request.frame_index
-        for edge, dm, dk in dependents.get(key, ()):
-            dst = states[(dm, dk)]
-            if dst.launched or dst.entry.status is not None:
-                continue
-            if eval_control_gate(edge, up_frame, seed):
-                dst.unresolved -= 1
-            else:
-                waiting = pending.get(dm)
-                if waiting is not None and waiting.request_index == dk:
-                    del pending[dm]
-                fail((dm, dk), UNTRIGGERED)
+        # Arrivals supersede their model's waiting request (the drop rule).
+        while cursor < n and arrival_us[cursor] == now:
+            p = arrivals[cursor]
+            cursor += 1
+            r = requests[p]
+            prev = pending.get(r.model)
+            if prev is not None and requests[prev].request_index < r.request_index:
+                del pending[r.model]
+                fail(prev, DROPPED)
+            if status[p] is None:
+                pending[r.model] = p
 
-    def is_ready(r: InferenceRequest) -> bool:
-        st = states[(r.model, r.request_index)]
-        return st.arrived and not st.launched and st.entry.status is None and st.unresolved == 0 and not st.blocked
+        # Free units, lowest rank first, take the policy's pick of the ready set.
+        if not (free and pending):
+            continue
+        ready = [requests[p] for p in pending.values() if not unresolved[p] and not blocked[p]]
+        while ready and free:
+            rank = free.pop(0)
+            chosen = policy.choose(ready, units[rank], costs)
+            ready.remove(chosen)
+            p = pending.pop(chosen.model)
+            end = now + lat_us[chosen.model][rank]
+            status[p] = COMPLETED
+            launched[p] = TimelineEntry(chosen, unit_ids[rank], now, end, COMPLETED, energy[chosen.model][rank])
+            heapq.heappush(completions, (end, rank, p))
 
-    def dispatch(now: int) -> None:
-        while True:
-            free = [u for u in units_in_order if busy[u.id] is None]
-            if not free:
-                return
-            ready = [r for r in pending.values() if is_ready(r)]
-            if not ready:
-                return
-            unit = free[0]
-            chosen = policy.choose(ready, unit, costs)
-            st = states[(chosen.model, chosen.request_index)]
-            cost = costs.lookup(chosen.model, unit.id)
-            lat_us = max(1, round(cost.latency_ms * US_PER_MS))
-            st.launched = True
-            st.entry.unit = unit.id
-            st.entry.t_start_us = now
-            st.entry.t_end_us = now + lat_us
-            st.entry.energy_mj = cost.energy_mj
-            st.entry.status = COMPLETED
-            busy[unit.id] = (chosen.model, chosen.request_index)
-            del pending[chosen.model]
-            heapq.heappush(events, (st.entry.t_end_us, _EV_COMPLETION, unit.id, chosen.model, chosen.request_index))
-
-    while events:
-        now = events[0][0]
-        batch = []
-        while events and events[0][0] == now:
-            batch.append(heapq.heappop(events))
-        for _, kind, unit_id, model, k in sorted(batch):
-            if kind == _EV_COMPLETION:
-                busy[unit_id] = None
-                resolve_completion((model, k))
-            else:
-                st = states[(model, k)]
-                st.arrived = True
-                for stale in drop_superseded(pending, st.entry.request):
-                    fail((stale.model, stale.request_index), DROPPED)
-                if st.entry.status is None and not st.launched:
-                    pending[model] = st.entry.request
-        dispatch(now)
-
-    # Window closed with no successor to supersede them: no user-visible result.
-    for st in states.values():
-        if st.entry.status is None:
-            fail((st.entry.request.model, st.entry.request.request_index), DROPPED)
-
+    # Requests still waiting when the window closed have no user-visible result.
+    entries = [
+        launched[p] if st == COMPLETED else TimelineEntry(r, status=st or DROPPED)
+        for p, (r, st) in enumerate(zip(requests, status))
+    ]
     log = EventLog(
         scenario=scenario.id,
         hardware=hw.id,

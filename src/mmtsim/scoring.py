@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ScoringError
-from .runtime import COMPLETED, EventLog
+from .runtime import COMPLETED, EventLog, TimelineEntry
 from .workload import (
     HIGHER_IS_BETTER,
     LOWER_IS_BETTER,
@@ -143,10 +143,19 @@ class ScoreReport:
         return self.overall_arithmetic
 
 
-def _model_inference_scores(log: EventLog, model: UnitModel, cfg: ScoringConfig):
-    """Yield (rt, en, acc) for completed entries, ascending request index."""
+def _entries_by_model(log: EventLog) -> dict[str, list[TimelineEntry]]:
+    """The log's entries grouped by model in one scan, each ascending request index."""
+    groups: dict[str, list[TimelineEntry]] = {}
+    for e in log.entries:
+        groups.setdefault(e.request.model, []).append(e)
+    for entries in groups.values():
+        entries.sort(key=lambda e: e.request.request_index)
+    return groups
+
+
+def _model_inference_scores(entries: list[TimelineEntry], model: UnitModel, cfg: ScoringConfig):
+    """Yield (rt, en, acc) for the completed ones of a model's sorted entries."""
     acc = accuracy_score(achieved_metric(model), accuracy_goal(model), model.metric_direction)
-    entries = sorted(log.by_model(model.id), key=lambda e: e.request.request_index)
     for e in entries:
         if e.status != COMPLETED:
             continue
@@ -163,16 +172,22 @@ def per_model_score(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> floa
     """Mean per-inference score over completed entries; 0 when none completed."""
     total = 0.0
     n = 0
-    for rt, en, acc in _model_inference_scores(log, model, cfg):
+    for rt, en, acc in _model_inference_scores(_entries_by_model(log).get(model.id, []), model, cfg):
         total += per_inference_score(rt, en, acc)
         n += 1
     return total / n if n else 0.0
 
 
 def model_report(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> ModelReport:
+    return _model_report(log, _entries_by_model(log).get(model.id, []), model, cfg)
+
+
+def _model_report(
+    log: EventLog, entries: list[TimelineEntry], model: UnitModel, cfg: ScoringConfig
+) -> ModelReport:
     rt_sum = en_sum = acc_sum = product_sum = 0.0
     n = 0
-    for rt, en, acc in _model_inference_scores(log, model, cfg):
+    for rt, en, acc in _model_inference_scores(entries, model, cfg):
         rt_sum += rt
         en_sum += en
         acc_sum += acc
@@ -205,9 +220,10 @@ def per_scenario_score(
     cfg: ScoringConfig,
 ) -> float:
     """Mean over the scenario's models of (model score x QoE)."""
+    groups = _entries_by_model(log)
     total = 0.0
     for model_id in scenario.model_ids:
-        rep = model_report(log, models[model_id], cfg)
+        rep = _model_report(log, groups.get(model_id, []), models[model_id], cfg)
         total += rep.model_score * rep.qoe
     return total / len(scenario.model_ids)
 
@@ -241,10 +257,11 @@ def build_report(
         if scenario.id not in logs:
             continue
         log = logs[scenario.id]
+        groups = _entries_by_model(log)
         models: dict[str, ModelReport] = {}
         total = 0.0
         for model_id in scenario.model_ids:
-            rep = model_report(log, config.models[model_id], cfg)
+            rep = _model_report(log, groups.get(model_id, []), config.models[model_id], cfg)
             models[model_id] = rep
             total += rep.model_score * rep.qoe
         score = total / len(scenario.model_ids)

@@ -159,7 +159,7 @@ class BenchmarkSuite:
         for s in self.scenarios:
             if s.id == scenario_id:
                 return s
-        raise KeyError(scenario_id)
+        raise ConfigError(f"unknown scenario {scenario_id!r} (expected one of {', '.join(self.scenario_ids)})")
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,20 @@ def test_sweep_emits_one_row_per_value(tmp_path):
     assert zero_point["counts"]["GE"]["n_processed"] == 0
 
 
+def test_non_integer_preset_pes_is_a_config_error(tmp_path, capsys):
+    code = main(["run", "--hw", "preset:J:abc", "--synthetic", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "preset:J:abc" in err
+
+
+def test_unknown_scenario_is_a_config_error(tmp_path, capsys):
+    code = main(["run", "--scenario", "nope", "--hw", "preset:J", "--synthetic", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'nope'" in err
+
+
 def test_unknown_sweep_edge_fails(tmp_path, capsys):
     code = main(
         [

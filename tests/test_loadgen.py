@@ -28,6 +28,14 @@ def test_det_rand_regression_values():
     assert det_rand(0, "camera", 5) != det_rand(0, "camera", 6)
 
 
+def test_det_rand_accepts_non_ascii_ids():
+    # ids are hashed as UTF-8, which leaves every ASCII id's value unchanged
+    value = det_rand(0, "kamera-é", 5)
+    assert 0.0 <= value < 1.0
+    assert value == det_rand(0, "kamera-é", 5)
+    assert value != det_rand(0, "kamera-e", 5)
+
+
 def test_det_rand_mean_is_roughly_uniform():
     vals = [det_rand(0, "camera", i) for i in range(10_000)]
     assert 0.45 <= sum(vals) / len(vals) <= 0.55

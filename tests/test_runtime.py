@@ -28,7 +28,6 @@ from mmtsim.runtime import (
     LatencyGreedy,
     RoundRobin,
     TimelineEntry,
-    drop_superseded,
     eval_control_gate,
     log_from_csv,
     log_to_csv,
@@ -119,6 +118,26 @@ def test_downstream_starts_after_upstream_ends():
             assert e.t_start_us >= ups[e.request.frame_index].t_end_us
 
 
+def test_non_ascii_source_and_edge_ids_simulate():
+    sources = {"kamera-é": InputSource("kamera-é", streaming_rate=60.0, max_jitter=0.05)}
+    models = {m: UnitModel(id=m, task_tag="t", input_sources=("kamera-é",)) for m in ("détecteur", "suivi")}
+    edge = DependencyEdge(upstream="détecteur", downstream="suivi", kind="control", trigger_probability=0.5)
+    scenario = UsageScenario(
+        id="p",
+        entries=(
+            ScenarioEntry(model="détecteur", target_rate=60.0),
+            ScenarioEntry(model="suivi", target_rate=60.0, dependencies=(edge,)),
+        ),
+    )
+    stream = generate_requests(scenario, sources, models, 1.0, seed=3)
+    hw = HardwareSystem(id="h", style="FDA", units=(HardwareUnit(id="u0", dataflow="WS", pe_count=1),))
+    costs = CostTable([CostEntry(m, "u0", latency_ms=0.5, energy_mj=0.1) for m in models], e_max_mj=1.0)
+    log = simulate(scenario, stream, hw, costs)
+    counts = log.counts["suivi"]
+    assert counts.n_processed > 0 and counts.n_untriggered > 0
+    assert counts.n_processed + counts.n_untriggered == counts.n_total == 60
+
+
 def test_eval_control_gate_extremes():
     edge = lambda p: DependencyEdge(upstream="U", downstream="D", kind="control", trigger_probability=p)
     assert all(eval_control_gate(edge(1.0), f, 0) for f in range(100))
@@ -132,16 +151,28 @@ def _req(model, k, t_req=0, t_dl=1000):
 
 
 def test_drop_superseded_rules():
-    queue = {"HT": _req("HT", 3)}
-    assert drop_superseded(queue, _req("HT", 4)) == [_req("HT", 3)]
-    assert "HT" not in queue
+    # one unit; A (150 ms) and B (1 ms) both sample a 10 Hz source: arrivals at 0/100/200/300 ms
+    sources = {"s": InputSource("s", streaming_rate=10.0)}
+    models = {m: UnitModel(id=m, task_tag="t", input_sources=("s",)) for m in ("A", "B")}
+    scenario = UsageScenario(
+        id="x", entries=(ScenarioEntry(model="A", target_rate=10.0), ScenarioEntry(model="B", target_rate=10.0))
+    )
+    stream = generate_requests(scenario, sources, models, 0.4, seed=0)
+    hw = HardwareSystem(id="h", style="FDA", units=(HardwareUnit(id="u0", dataflow="WS", pe_count=1),))
+    costs = CostTable(
+        [CostEntry("A", "u0", latency_ms=150.0, energy_mj=0.0), CostEntry("B", "u0", latency_ms=1.0, energy_mj=0.0)],
+        e_max_mj=1.0,
+    )
+    log = simulate(scenario, stream, hw, costs)
+    a, b = log.by_model("A"), log.by_model("B")
 
-    # a launched request is no longer in the queue and is never dropped
-    assert drop_superseded({}, _req("HT", 4)) == []
-
-    queue = {"HT": _req("HT", 3)}
-    assert drop_superseded(queue, _req("ES", 4)) == []
-    assert "HT" in queue
+    # A1 waits from 100 ms while B1 arrives and runs: another model never supersedes it
+    assert a[1].status == COMPLETED and a[1].t_start_ms == 152.0
+    # A2 arrives at 200 ms while A1 runs: a launched request is never dropped
+    assert a[2].request.t_req_ms == 200.0 and a[1].t_end_ms == 302.0
+    # A2 and B2 are still waiting when A3 and B3 arrive at 300 ms: both are dropped
+    assert [e.status for e in a] == [COMPLETED, COMPLETED, DROPPED, COMPLETED]
+    assert [e.status for e in b] == [COMPLETED, COMPLETED, DROPPED, COMPLETED]
 
 
 def _cost_pair():
