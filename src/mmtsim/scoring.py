@@ -178,13 +178,13 @@ def per_model_score(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> floa
     return total / n if n else 0.0
 
 
-def model_report(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> ModelReport:
-    return _model_report(log, _entries_by_model(log).get(model.id, []), model, cfg)
-
-
-def _model_report(
-    log: EventLog, entries: list[TimelineEntry], model: UnitModel, cfg: ScoringConfig
+def model_report(
+    log: EventLog, model: UnitModel, cfg: ScoringConfig, *, entries: list[TimelineEntry] | None = None
 ) -> ModelReport:
+    """Score one model of a log. `entries` may pass the model's entries,
+    ascending request index, when the caller has grouped the log already."""
+    if entries is None:
+        entries = _entries_by_model(log).get(model.id, [])
     rt_sum = en_sum = acc_sum = product_sum = 0.0
     n = 0
     for rt, en, acc in _model_inference_scores(entries, model, cfg):
@@ -223,7 +223,7 @@ def per_scenario_score(
     groups = _entries_by_model(log)
     total = 0.0
     for model_id in scenario.model_ids:
-        rep = _model_report(log, groups.get(model_id, []), models[model_id], cfg)
+        rep = model_report(log, models[model_id], cfg, entries=groups.get(model_id, []))
         total += rep.model_score * rep.qoe
     return total / len(scenario.model_ids)
 
@@ -261,7 +261,7 @@ def build_report(
         models: dict[str, ModelReport] = {}
         total = 0.0
         for model_id in scenario.model_ids:
-            rep = _model_report(log, groups.get(model_id, []), config.models[model_id], cfg)
+            rep = model_report(log, config.models[model_id], cfg, entries=groups.get(model_id, []))
             models[model_id] = rep
             total += rep.model_score * rep.qoe
         score = total / len(scenario.model_ids)
