@@ -25,9 +25,8 @@ def _assert_same(scenario, stream, hw, costs, policy, seed=None):
     log = simulate(scenario, stream, hw, costs, policy=policy, seed=seed)
     expected = reference_simulate(scenario, stream, hw, costs, policy, seed=seed)
     got = _timeline(log)
-    assert len(got) == len(log.entries)
-    mismatched = [k for k in expected if got.get(k) != expected[k]]
-    assert set(got) == set(expected)
+    assert len(got) == len(log.entries) and set(got) == set(expected)
+    mismatched = [k for k in expected if got[k] != expected[k]]
     assert not mismatched, (
         f"{scenario.id} ({policy}): {len(mismatched)} entries differ, first {mismatched[0]}: "
         f"simulate {got[mismatched[0]]} != reference {expected[mismatched[0]]}"
