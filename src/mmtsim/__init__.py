@@ -15,7 +15,6 @@ from .loadgen import (
     InferenceRequest,
     RequestStream,
     det_rand,
-    generate_for_config,
     generate_requests,
 )
 from .runtime import EventLog, TimelineEntry, simulate, validate_schedule

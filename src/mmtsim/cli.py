@@ -59,12 +59,7 @@ def _load_costs(args, config: workload.SuiteConfig, hw: costmodel.HardwareSystem
 
 
 def _scoring_config(args, table: costmodel.CostTable) -> scoring.ScoringConfig:
-    return scoring.ScoringConfig(
-        k=args.k,
-        e_max_mj=args.emax if args.emax is not None else table.e_max_mj,
-        overall_mean=args.mean,
-        report_scale=args.scale,
-    )
+    return scoring.ScoringConfig(k=args.k, e_max_mj=table.e_max_mj, report_scale=args.scale)
 
 
 def _scenarios(args, config: workload.SuiteConfig) -> list[workload.UsageScenario]:
@@ -85,7 +80,6 @@ def _resolved_config_obj(args, hw, table, cfg) -> dict:
         "scoring": {
             "k": cfg.k,
             "e_max_mj": cfg.e_max_mj,
-            "overall_mean": cfg.overall_mean,
             "report_scale": cfg.report_scale,
         },
     }
@@ -152,7 +146,10 @@ def cmd_sweep(args) -> int:
         upstream, downstream = args.edge.split("->")
     except ValueError:
         raise ConfigError("--edge must look like ES->GE") from None
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ConfigError(f"--values {args.values!r}: each value must be a number") from None
 
     config = _load_config(args)
     hw = _load_hardware(args)
@@ -166,17 +163,17 @@ def cmd_sweep(args) -> int:
     for p in values:
         scenario = workload.with_edge_probability(base, upstream, downstream, p)
         _, log = _simulate_scenario(scenario, config, hw, table, args)
-        report = scoring.model_report(log, config.models[downstream], cfg)
-        scenario_score = scoring.per_scenario_score(log, scenario, config.models, cfg)
+        report = scoring.scenario_report(log, scenario, config.models, cfg)
+        down = report.models[downstream]
         rows.append(
-            f"{p!r},{report.rt_mean!r},{report.en_mean!r},{report.qoe!r},"
-            f"{report.n_processed},{scenario_score!r}"
+            f"{p!r},{down.rt_mean!r},{down.en_mean!r},{down.qoe!r},"
+            f"{down.n_processed},{report.scenario_score!r}"
         )
         point_obj = {
             "schema_version": workload.SCHEMA_VERSION,
             "probability": p,
             "counts": runtime.log_to_obj(log)["counts"],
-            "scenario_score": scenario_score,
+            "scenario_score": report.scenario_score,
         }
         _atomic_write(out / f"sweep_point_{p:g}.json", json.dumps(point_obj, indent=2) + "\n")
     _atomic_write(out / "sweep.csv", "\n".join(rows) + "\n")
@@ -216,7 +213,7 @@ def cmd_score(args) -> int:
         log = runtime.log_from_csv(fh, scenario=scenario.id)
     if args.emax is None:
         raise ConfigError("score requires --emax (the cost table is not available here)")
-    cfg = scoring.ScoringConfig(k=args.k, e_max_mj=args.emax, overall_mean=args.mean, report_scale=args.scale)
+    cfg = scoring.ScoringConfig(k=args.k, e_max_mj=args.emax, report_scale=args.scale)
     report = scoring.build_report({scenario.id: log}, config, cfg)
     obj = scoring.report_to_obj(report)
     text = json.dumps(obj, indent=2) + "\n"
@@ -251,7 +248,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--k", type=float, default=10.0, help="deadline sensitivity (1/s)")
     p.add_argument("--emax", type=float, default=None, help="energy score upper bound (mJ)")
-    p.add_argument("--mean", default=scoring.ARITHMETIC, choices=[scoring.ARITHMETIC, scoring.GEOMETRIC])
     p.add_argument("--scale", default="unit", choices=["unit", "percent"])
 
 

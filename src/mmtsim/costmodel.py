@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ConfigError
-from .workload import SCHEMA_VERSION, UnitModel
+from .workload import SCHEMA_VERSION, UnitModel, load_json_file
 
 FDA = "FDA"
 SFDA = "SFDA"
@@ -29,8 +29,6 @@ class HardwareUnit:
     dataflow: str
     pe_count: int
     clock_ghz: float = 1.0
-    bandwidth_gbps: float = 256.0
-    shared_mem_mib: float = 8.0
     power_watts: float = 1.0
 
     def __post_init__(self) -> None:
@@ -56,12 +54,6 @@ class HardwareSystem:
             raise ConfigError(f"system {self.id!r}: duplicate unit ids")
         if self.style == FDA and len(self.units) != 1:
             raise ConfigError(f"system {self.id!r}: FDA systems have exactly one unit")
-
-    def unit(self, unit_id: str) -> HardwareUnit:
-        for u in self.units:
-            if u.id == unit_id:
-                return u
-        raise KeyError(unit_id)
 
 
 @dataclass(frozen=True)
@@ -110,15 +102,8 @@ class CostTable:
         except KeyError:
             raise ConfigError(f"no cost entry for model {model!r} on unit {unit!r}") from None
 
-    def has(self, model: str, unit: str) -> bool:
-        return (model, unit) in self._entries
-
     def entries(self) -> list[CostEntry]:
         return sorted(self._entries.values(), key=lambda e: (e.model, e.unit))
-
-
-def lookup_cost(table: CostTable, model: str, unit: str) -> CostEntry:
-    return table.lookup(model, unit)
 
 
 def synthetic_cost(model: UnitModel, unit: HardwareUnit, efficiency: float = 1.0) -> CostEntry:
@@ -201,8 +186,6 @@ def preset_system(
     preset: str,
     total_pes: int = 4096,
     clock_ghz: float = 1.0,
-    bandwidth_gbps: float = 256.0,
-    shared_mem_mib: float = 8.0,
     power_watts: float = 1.0,
 ) -> HardwareSystem:
     """Instantiate one of the preset accelerator styles A..M."""
@@ -217,8 +200,6 @@ def preset_system(
             dataflow=dataflow,
             pe_count=total_pes * ratio // total_ratio,
             clock_ghz=clock_ghz,
-            bandwidth_gbps=bandwidth_gbps,
-            shared_mem_mib=shared_mem_mib,
             power_watts=power_watts,
         )
         for i, (dataflow, ratio) in enumerate(parts)
@@ -240,8 +221,6 @@ def system_to_obj(system: HardwareSystem) -> dict:
                 "dataflow": u.dataflow,
                 "pe_count": u.pe_count,
                 "clock_ghz": u.clock_ghz,
-                "bandwidth_gbps": u.bandwidth_gbps,
-                "shared_mem_mib": u.shared_mem_mib,
                 "power_watts": u.power_watts,
             }
             for u in system.units
@@ -260,8 +239,6 @@ def system_from_obj(obj: Mapping) -> HardwareSystem:
                     dataflow=u["dataflow"],
                     pe_count=int(u["pe_count"]),
                     clock_ghz=float(u.get("clock_ghz", 1.0)),
-                    bandwidth_gbps=float(u.get("bandwidth_gbps", 256.0)),
-                    shared_mem_mib=float(u.get("shared_mem_mib", 8.0)),
                     power_watts=float(u.get("power_watts", 1.0)),
                 )
                 for u in obj["units"]
@@ -272,8 +249,7 @@ def system_from_obj(obj: Mapping) -> HardwareSystem:
 
 
 def load_hardware_file(path) -> HardwareSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return system_from_obj(json.load(fh))
+    return system_from_obj(load_json_file(path))
 
 
 def dump_hardware_file(system: HardwareSystem, path) -> None:
@@ -310,8 +286,7 @@ def table_from_obj(obj: Mapping) -> CostTable:
 
 
 def load_cost_table_file(path) -> CostTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return table_from_obj(json.load(fh))
+    return table_from_obj(load_json_file(path))
 
 
 def dump_cost_table_file(table: CostTable, path) -> None:

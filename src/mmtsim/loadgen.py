@@ -7,7 +7,6 @@ milliseconds as floats.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from statistics import NormalDist
 from typing import Mapping
 
 from .errors import ConfigError
-from .workload import InputSource, ScenarioEntry, SuiteConfig, UnitModel, UsageScenario, validate_scenario
+from .workload import InputSource, ScenarioEntry, UnitModel, UsageScenario, validate_scenario
 
 US_PER_MS = 1000
 US_PER_S = 1_000_000
@@ -98,10 +97,6 @@ class InferenceRequest:
     @property
     def t_slack_us(self) -> int:
         return self.t_dl_us - self.t_req_us
-
-    @property
-    def t_slack_ms(self) -> float:
-        return self.t_slack_us / US_PER_MS
 
 
 @dataclass(frozen=True)
@@ -192,17 +187,3 @@ def generate_requests(
         target_frame_count=counts,
     )
 
-
-def generate_for_config(config: SuiteConfig, scenario_id: str, duration: float, seed: int) -> RequestStream:
-    scenario = config.suite.scenario(scenario_id)
-    return generate_requests(scenario, config.sources, config.models, duration, seed)
-
-
-STREAM_CSV_FIELDS = ("model", "request_index", "frame_index", "t_req_ms", "t_dl_ms")
-
-
-def stream_to_csv(stream: RequestStream, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(STREAM_CSV_FIELDS)
-    for r in stream.requests:
-        writer.writerow([r.model, r.request_index, r.frame_index, repr(r.t_req_ms), repr(r.t_dl_ms)])

@@ -1,7 +1,7 @@
 """Discrete-event dispatcher: runs a request stream on modeled hardware.
 
-A request is ready once its arrival time has passed, every data dependency
-for its frame has completed, and every probabilistic gate has fired true.
+A request is ready once its arrival time has passed, every dependency for
+its frame has completed, and every probabilistic gate has fired true.
 Launched inferences run to completion (no preemption). A request that has
 not launched when the next request of the same model arrives is dropped.
 
@@ -159,8 +159,7 @@ def make_policy(name: str, scenario: UsageScenario):
 def eval_control_gate(edge: DependencyEdge, upstream_frame: int, seed: int) -> bool:
     """Whether a gated downstream launch fires for this upstream completion.
 
-    Deterministic per (seed, edge, frame); probability 1 edges (all plain
-    data dependencies) always fire.
+    Deterministic per (seed, edge, frame); probability 1 edges always fire.
     """
     if edge.trigger_probability >= 1.0:
         return True
@@ -387,26 +386,33 @@ def log_to_csv(log: EventLog, fh) -> None:
 
 
 def log_from_csv(fh, scenario: str = "", hardware: str = "", seed: int = 0, duration: float = 0.0) -> EventLog:
+    """Read a timeline written by `log_to_csv`; a malformed one is a ConfigError."""
     reader = csv.DictReader(fh)
+    missing = [f for f in LOG_CSV_FIELDS if f not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"timeline CSV lacks column(s) {', '.join(missing)}")
     entries = []
-    for row in reader:
-        req = InferenceRequest(
-            model=row["model"],
-            frame_index=int(row["frame_index"]),
-            request_index=int(row["request_index"]),
-            t_req_us=round(float(row["t_req_ms"]) * US_PER_MS),
-            t_dl_us=round(float(row["t_dl_ms"]) * US_PER_MS),
-        )
-        entries.append(
-            TimelineEntry(
-                request=req,
-                unit=row["unit"] or None,
-                t_start_us=round(float(row["t_start_ms"]) * US_PER_MS) if row["t_start_ms"] else None,
-                t_end_us=round(float(row["t_end_ms"]) * US_PER_MS) if row["t_end_ms"] else None,
-                status=row["status"],
-                energy_mj=float(row["energy_mj"]),
+    try:
+        for row in reader:
+            req = InferenceRequest(
+                model=row["model"],
+                frame_index=int(row["frame_index"]),
+                request_index=int(row["request_index"]),
+                t_req_us=round(float(row["t_req_ms"]) * US_PER_MS),
+                t_dl_us=round(float(row["t_dl_ms"]) * US_PER_MS),
             )
-        )
+            entries.append(
+                TimelineEntry(
+                    request=req,
+                    unit=row["unit"] or None,
+                    t_start_us=round(float(row["t_start_ms"]) * US_PER_MS) if row["t_start_ms"] else None,
+                    t_end_us=round(float(row["t_end_ms"]) * US_PER_MS) if row["t_end_ms"] else None,
+                    status=row["status"],
+                    energy_mj=float(row["energy_mj"]),
+                )
+            )
+    except (TypeError, ValueError, OverflowError) as exc:  # a short row, or a field that is not a finite number
+        raise ConfigError(f"timeline CSV line {reader.line_num}: {exc}") from None
     log = EventLog(scenario=scenario, hardware=hardware, seed=seed, duration=duration, entries=entries)
     log.recount()
     return log

@@ -3,8 +3,8 @@
 Per inference: the product of real-time, energy, and accuracy scores.
 Per model: the mean of per-inference scores over completed entries only
 (dropped frames are charged through the QoE score instead). Per scenario:
-the mean over its models of model score times QoE. Overall: the mean over
-scenarios, arithmetic by default with the geometric variant also reported.
+the mean over its models of model score times QoE. Overall: the arithmetic
+and the geometric mean over scenarios, both always reported.
 
 Summation order is fixed (ascending request index, then scenario model
 order, then suite scenario order) so reports are bit-reproducible.
@@ -35,28 +35,24 @@ GEOMETRIC = "geometric"
 _EXP_CLAMP = 700.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScoringConfig:
     """Knobs of the scoring pipeline.
 
     `k` is the deadline sensitivity in 1/second; the sigmoid argument is
-    taken in seconds. `qoe_counts_untriggered` controls whether requests
-    whose gate never fired count as droppable work.
+    taken in seconds. `e_max_mj` has no default: pass the cost table's
+    bound, so scores and costs agree on it.
     """
 
     k: float = 10.0
-    e_max_mj: float = 1.0
-    overall_mean: str = ARITHMETIC
+    e_max_mj: float
     report_scale: str = "unit"
-    qoe_counts_untriggered: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 0:
             raise ScoringError("k must be >= 0")
         if self.e_max_mj <= 0:
             raise ScoringError("e_max_mj must be > 0")
-        if self.overall_mean not in (ARITHMETIC, GEOMETRIC):
-            raise ScoringError(f"unknown overall_mean {self.overall_mean!r}")
         if self.report_scale not in ("unit", "percent"):
             raise ScoringError(f"unknown report_scale {self.report_scale!r}")
 
@@ -136,12 +132,6 @@ class ScoreReport:
     overall_geometric: float
     config: ScoringConfig
 
-    @property
-    def overall(self) -> float:
-        if self.config.overall_mean == GEOMETRIC:
-            return self.overall_geometric
-        return self.overall_arithmetic
-
 
 def _entries_by_model(log: EventLog) -> dict[str, list[TimelineEntry]]:
     """The log's entries grouped by model in one scan, each ascending request index."""
@@ -168,20 +158,11 @@ def _model_inference_scores(entries: list[TimelineEntry], model: UnitModel, cfg:
         )
 
 
-def per_model_score(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> float:
-    """Mean per-inference score over completed entries; 0 when none completed."""
-    total = 0.0
-    n = 0
-    for rt, en, acc in _model_inference_scores(_entries_by_model(log).get(model.id, []), model, cfg):
-        total += per_inference_score(rt, en, acc)
-        n += 1
-    return total / n if n else 0.0
-
-
 def model_report(
     log: EventLog, model: UnitModel, cfg: ScoringConfig, *, entries: list[TimelineEntry] | None = None
 ) -> ModelReport:
-    """Score one model of a log. `entries` may pass the model's entries,
+    """Score one model of a log: means over its completed entries (0 when
+    none completed) and its QoE. `entries` may pass the model's entries,
     ascending request index, when the caller has grouped the log already."""
     if entries is None:
         entries = _entries_by_model(log).get(model.id, [])
@@ -197,7 +178,7 @@ def model_report(
     if counts is None:
         log.recount()
         counts = log.counts[model.id]
-    denom = counts.n_total if cfg.qoe_counts_untriggered else counts.n_processed + counts.n_dropped
+    denom = counts.n_processed + counts.n_dropped  # untriggered requests were never droppable work
     qoe = qoe_score(counts.n_processed, denom) if denom > 0 else 0.0
     return ModelReport(
         rt_mean=rt_sum / n if n else 0.0,
@@ -213,19 +194,22 @@ def model_report(
     )
 
 
-def per_scenario_score(
+def scenario_report(
     log: EventLog,
     scenario: UsageScenario,
     models: Mapping[str, UnitModel],
     cfg: ScoringConfig,
-) -> float:
-    """Mean over the scenario's models of (model score x QoE)."""
+) -> ScenarioReport:
+    """Every model's report, and the mean over the scenario's models of
+    (model score x QoE)."""
     groups = _entries_by_model(log)
+    reports: dict[str, ModelReport] = {}
     total = 0.0
     for model_id in scenario.model_ids:
         rep = model_report(log, models[model_id], cfg, entries=groups.get(model_id, []))
+        reports[model_id] = rep
         total += rep.model_score * rep.qoe
-    return total / len(scenario.model_ids)
+    return ScenarioReport(models=reports, scenario_score=total / len(scenario.model_ids))
 
 
 def overall_score(scenario_scores: Sequence[float], mean: str = ARITHMETIC) -> float:
@@ -251,22 +235,12 @@ def build_report(
     cfg: ScoringConfig,
 ) -> ScoreReport:
     """Score one EventLog per scenario id, in suite scenario order."""
-    scenario_reports: dict[str, ScenarioReport] = {}
-    scores: list[float] = []
-    for scenario in config.suite.scenarios:
-        if scenario.id not in logs:
-            continue
-        log = logs[scenario.id]
-        groups = _entries_by_model(log)
-        models: dict[str, ModelReport] = {}
-        total = 0.0
-        for model_id in scenario.model_ids:
-            rep = model_report(log, config.models[model_id], cfg, entries=groups.get(model_id, []))
-            models[model_id] = rep
-            total += rep.model_score * rep.qoe
-        score = total / len(scenario.model_ids)
-        scenario_reports[scenario.id] = ScenarioReport(models=models, scenario_score=score)
-        scores.append(score)
+    scenario_reports = {
+        scenario.id: scenario_report(logs[scenario.id], scenario, config.models, cfg)
+        for scenario in config.suite.scenarios
+        if scenario.id in logs
+    }
+    scores = [rep.scenario_score for rep in scenario_reports.values()]
     return ScoreReport(
         scenarios=scenario_reports,
         overall_arithmetic=overall_score(scores, ARITHMETIC),
@@ -286,9 +260,7 @@ def report_to_obj(report: ScoreReport) -> dict:
         "scoring_config": {
             "k": report.config.k,
             "e_max_mj": report.config.e_max_mj,
-            "overall_mean": report.config.overall_mean,
             "report_scale": report.config.report_scale,
-            "qoe_counts_untriggered": report.config.qoe_counts_untriggered,
         },
         "scenarios": {
             sid: {

@@ -18,9 +18,6 @@ SCHEMA_VERSION = "1"
 HIGHER_IS_BETTER = "higher-is-better"
 LOWER_IS_BETTER = "lower-is-better"
 
-DATA = "data"
-CONTROL = "control"
-
 
 @dataclass(frozen=True)
 class InputSource:
@@ -74,16 +71,15 @@ class UnitModel:
 
 @dataclass(frozen=True)
 class DependencyEdge:
-    """A data or control dependency between two models of a scenario."""
+    """A dependency between two models of a scenario: each downstream
+    request waits for its upstream anchor, and launches only if the gate,
+    fired with `trigger_probability`, comes up true (always when it is 1)."""
 
     upstream: str
     downstream: str
-    kind: str = DATA
     trigger_probability: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in (DATA, CONTROL):
-            raise ConfigError(f"edge {self.key}: kind must be 'data' or 'control'")
         if not 0.0 <= self.trigger_probability <= 1.0:
             raise ConfigError(f"edge {self.key}: trigger_probability must be in [0,1]")
 
@@ -297,8 +293,8 @@ P_KD_SR_ASSISTANT = 0.5
 P_ES_GE = 1.0
 
 
-def _edge(up: str, down: str, kind: str, p: float) -> DependencyEdge:
-    return DependencyEdge(upstream=up, downstream=down, kind=kind, trigger_probability=p)
+def _edge(up: str, down: str, p: float) -> DependencyEdge:
+    return DependencyEdge(upstream=up, downstream=down, trigger_probability=p)
 
 
 def _scenario(sid: str, entries: Iterable[tuple]) -> UsageScenario:
@@ -332,9 +328,9 @@ def builtin_models() -> dict[str, UnitModel]:
 
 def builtin_suite() -> BenchmarkSuite:
     """The seven shipped usage scenarios with their target rates and dependencies."""
-    es_ge = _edge("ES", "GE", DATA, P_ES_GE)
-    kd_sr_outdoor = _edge("KD", "SR", CONTROL, P_KD_SR_OUTDOOR)
-    kd_sr_assistant = _edge("KD", "SR", CONTROL, P_KD_SR_ASSISTANT)
+    es_ge = _edge("ES", "GE", P_ES_GE)
+    kd_sr_outdoor = _edge("KD", "SR", P_KD_SR_OUTDOOR)
+    kd_sr_assistant = _edge("KD", "SR", P_KD_SR_ASSISTANT)
     return BenchmarkSuite(
         scenarios=(
             _scenario("social-interaction-a", [("HT", 30), ("ES", 60), ("GE", 60, [es_ge]), ("DR", 30)]),
@@ -366,12 +362,7 @@ def with_edge_probability(
         for edge in entry.dependencies:
             if edge.upstream == upstream and edge.downstream == downstream:
                 found = True
-                edge = DependencyEdge(
-                    upstream=edge.upstream,
-                    downstream=edge.downstream,
-                    kind=edge.kind,
-                    trigger_probability=probability,
-                )
+                edge = DependencyEdge(upstream=upstream, downstream=downstream, trigger_probability=probability)
             deps.append(edge)
         entries.append(ScenarioEntry(model=entry.model, target_rate=entry.target_rate, dependencies=tuple(deps)))
     if not found:
@@ -420,7 +411,6 @@ def config_to_obj(config: SuiteConfig) -> dict:
                         "dependencies": [
                             {
                                 "upstream": d.upstream,
-                                "kind": d.kind,
                                 "trigger_probability": d.trigger_probability,
                             }
                             for d in e.dependencies
@@ -469,7 +459,6 @@ def config_from_obj(obj: Mapping) -> SuiteConfig:
                     DependencyEdge(
                         upstream=d["upstream"],
                         downstream=e["model"],
-                        kind=d.get("kind", DATA),
                         trigger_probability=float(d.get("trigger_probability", 1.0)),
                     )
                     for d in e.get("dependencies", ())
@@ -483,12 +472,14 @@ def config_from_obj(obj: Mapping) -> SuiteConfig:
     return SuiteConfig(sources=sources, models=models, suite=BenchmarkSuite(scenarios=tuple(scenarios)))
 
 
-def load_suite_file(path) -> SuiteConfig:
+def load_json_file(path):
+    """The parsed contents of a JSON file; a file that is not JSON is a ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_obj(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigError(f"{path}: not a JSON file: {exc}") from None
 
 
-def dump_suite_file(config: SuiteConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_obj(config), fh, indent=2)
-        fh.write("\n")
+def load_suite_file(path) -> SuiteConfig:
+    return config_from_obj(load_json_file(path))

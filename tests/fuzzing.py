@@ -44,11 +44,11 @@ def random_setup(rng: random.Random):
         # edges only point backwards in id order, so the graph stays acyclic
         for j in range(i):
             if rng.random() < 0.3:
+                rng.choice(["data", "control"])  # discarded; removing the draw would shift every seeded setup
                 deps.append(
                     DependencyEdge(
                         upstream=ids[j],
                         downstream=mid,
-                        kind=rng.choice(["data", "control"]),
                         trigger_probability=rng.choice([0.0, 0.3, 0.7, 1.0]),
                     )
                 )

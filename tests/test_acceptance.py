@@ -36,9 +36,9 @@ from mmtsim.scoring import (
     energy_score,
     model_report,
     overall_score,
-    per_scenario_score,
     qoe_score,
     rt_score,
+    scenario_report,
 )
 from mmtsim.workload import LOWER_IS_BETTER, accuracy_goal, achieved_metric
 
@@ -83,7 +83,7 @@ def test_criterion_2_range_invariants():
                 value = getattr(rep, name)
                 if not 0.0 <= value <= 1.0:
                     failures.append(f"{name}={value} out of range (sim {i})")
-        score = per_scenario_score(log, scenario, models, cfg)
+        score = scenario_report(log, scenario, models, cfg).scenario_score
         if not 0.0 <= score <= 1.0:
             failures.append(f"scenario score {score} out of range (sim {i})")
         scenario_scores.append(score)
@@ -249,7 +249,7 @@ def test_criterion_8_scoring_oracle_equivalence():
         scenario, sources, models, hw, costs = random_setup(rng)
         stream = generate_requests(scenario, sources, models, 0.5, seed=i)
         log = simulate(scenario, stream, hw, costs)
-        streaming = per_scenario_score(log, scenario, models, cfg)
+        streaming = scenario_report(log, scenario, models, cfg).scenario_score
         buf = io.StringIO()
         log_to_csv(log, buf)
         brute = _brute_force_scenario_score(buf.getvalue(), scenario, models, cfg)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mmtsim import builtin_config
 from mmtsim.cli import main
 from mmtsim.costmodel import CostTable, dump_cost_table_file, preset_system, synthetic_table
@@ -148,3 +150,45 @@ def test_unknown_sweep_edge_fails(tmp_path, capsys):
     )
     assert code == 2
     assert "no edge" in capsys.readouterr().err
+
+
+def test_non_numeric_sweep_value_is_a_config_error(tmp_path, capsys):
+    code = main(
+        ["sweep", "--scenario", "vr-gaming", "--edge", "ES->GE", "--values", "a,b", "--hw", "preset:A",
+         "--synthetic", "--out", str(tmp_path / "s")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'a,b'" in err
+
+
+@pytest.mark.parametrize("flag", ["--suite", "--hw", "--costs"])
+def test_malformed_json_file_is_a_config_error(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema_version": "1",')
+    args = {"--suite": ["--hw", "preset:A", "--synthetic"], "--hw": ["--synthetic"], "--costs": ["--hw", "preset:A"]}[flag]
+    code = main(["run", flag, str(bad), *args, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.json" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b\n1,2\n", "lacks column(s) model"),
+        (
+            "model,request_index,frame_index,unit,t_req_ms,t_start_ms,t_end_ms,t_dl_ms,status,energy_mj\n"
+            "HT,0,0,u0-ws,x,1.0,2.0,22.2,completed,0.1\n",
+            "line 2",
+        ),
+    ],
+    ids=["missing-column", "non-numeric-field"],
+)
+def test_malformed_timeline_csv_is_a_config_error(tmp_path, capsys, text, message):
+    log = tmp_path / "timeline.csv"
+    log.write_text(text)
+    code = main(["score", "--scenario", "vr-gaming", "--log", str(log), "--emax", "1.0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

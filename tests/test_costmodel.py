@@ -7,7 +7,6 @@ from mmtsim.costmodel import (
     dump_hardware_file,
     load_cost_table_file,
     load_hardware_file,
-    lookup_cost,
     preset_system,
     synthetic_cost,
     synthetic_table,
@@ -23,13 +22,13 @@ def _table():
 
 
 def test_lookup_present():
-    entry = lookup_cost(_table(), "HT", "u0")
+    entry = _table().lookup("HT", "u0")
     assert entry.latency_ms == 2.0 and entry.energy_mj == 3.0
 
 
 def test_lookup_missing_names_both_ids():
     with pytest.raises(ConfigError, match="'HT'.*'u9'"):
-        lookup_cost(_table(), "HT", "u9")
+        _table().lookup("HT", "u9")
 
 
 def test_zero_latency_entry_rejected():

@@ -1,8 +1,11 @@
-"""Byte identity of the simulator's outputs against recorded digests.
+"""Byte identity of the simulator's and the scorer's outputs against recorded digests.
 
-The digests were recorded before the dispatcher was rewritten for speed.
-Any later change that moves a single byte of a timeline CSV or log JSON
-fails here; a deliberate behaviour change must re-record them and say so.
+The timeline digests were recorded before the dispatcher was rewritten for
+speed; the report digest before the scoring folds were merged into one, with
+the two removed `scoring_config` keys (`overall_mean`,
+`qoe_counts_untriggered`) taken out. Any later change that moves a single
+byte of a timeline CSV, log JSON or report fails here; a deliberate
+behaviour change must re-record them and say so.
 """
 
 import hashlib
@@ -10,8 +13,10 @@ import io
 import json
 
 from mmtsim import builtin_config, generate_requests, simulate, synthetic_table
-from mmtsim.costmodel import preset_system
+from mmtsim.costmodel import load_hardware_file, preset_system, system_to_obj
 from mmtsim.runtime import log_to_csv, log_to_obj
+from mmtsim.scoring import ScoringConfig, build_report, report_to_obj
+from mmtsim.workload import config_to_obj, load_suite_file
 
 # scenario -> (SHA-256 of log_to_csv, SHA-256 of json.dumps(log_to_obj, indent=2))
 # on preset G at 96 PEs, synthetic costs, 5 s window, seed 7
@@ -47,19 +52,57 @@ GOLDEN = {
 }
 
 
+# SHA-256 of json.dumps(report_to_obj(build_report(...)), indent=2) for the
+# logs above, k = 10 and the cost table's e_max_mj
+GOLDEN_REPORT = "f6628d81dffc9ad470b75e7273b5d4af53c1aa90e6cd5550e649cb6f66738086"
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_builtin_suite_outputs_are_byte_identical_to_recorded_digests():
-    config = builtin_config()
-    hw = preset_system("G", total_pes=96)
+def _csv(log) -> str:
+    buf = io.StringIO()
+    log_to_csv(log, buf)
+    return buf.getvalue()
+
+
+def _simulate_suite(config, hw):
     costs = synthetic_table(config.models, hw)
-    got = {}
+    logs = {}
     for scenario in config.suite.scenarios:
         stream = generate_requests(scenario, config.sources, config.models, 5.0, seed=7)
-        log = simulate(scenario, stream, hw, costs)
-        buf = io.StringIO()
-        log_to_csv(log, buf)
-        got[scenario.id] = (_sha256(buf.getvalue()), _sha256(json.dumps(log_to_obj(log), indent=2)))
+        logs[scenario.id] = simulate(scenario, stream, hw, costs)
+    return logs, costs
+
+
+def test_builtin_suite_outputs_are_byte_identical_to_recorded_digests():
+    logs, _ = _simulate_suite(builtin_config(), preset_system("G", total_pes=96))
+    got = {sid: (_sha256(_csv(log)), _sha256(json.dumps(log_to_obj(log), indent=2))) for sid, log in logs.items()}
     assert got == GOLDEN
+
+
+def test_builtin_suite_report_is_byte_identical_to_recorded_digest():
+    config = builtin_config()
+    logs, costs = _simulate_suite(config, preset_system("G", total_pes=96))
+    report = build_report(logs, config, ScoringConfig(k=10.0, e_max_mj=costs.e_max_mj))
+    assert _sha256(json.dumps(report_to_obj(report), indent=2)) == GOLDEN_REPORT
+
+
+def test_files_with_retired_keys_load_to_the_same_timelines(tmp_path):
+    # Suite files once carried an edge "kind" and hardware files a unit
+    # bandwidth and shared memory; none of them changed a result.
+    config, hw = builtin_config(), preset_system("G", total_pes=96)
+    suite_obj = config_to_obj(config)
+    for scenario in suite_obj["scenarios"]:
+        for entry in scenario["entries"]:
+            for dep in entry["dependencies"]:
+                dep["kind"] = "control" if dep["trigger_probability"] < 1.0 else "data"
+    hw_obj = system_to_obj(hw)
+    for unit in hw_obj["units"]:
+        unit.update(bandwidth_gbps=64.0, shared_mem_mib=2.0)
+    (tmp_path / "suite.json").write_text(json.dumps(suite_obj))
+    (tmp_path / "hw.json").write_text(json.dumps(hw_obj))
+    loaded, _ = _simulate_suite(load_suite_file(tmp_path / "suite.json"), load_hardware_file(tmp_path / "hw.json"))
+    builtin, _ = _simulate_suite(config, hw)
+    assert {sid: _csv(log) for sid, log in loaded.items()} == {sid: _csv(log) for sid, log in builtin.items()}

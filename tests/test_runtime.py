@@ -66,13 +66,13 @@ def test_drop_rule_hand_simulation():
     assert log.entries[3].t_end_ms == 1600.0
 
 
-def _pipeline_setup(probability, duration=1.0, kind="control"):
+def _pipeline_setup(probability, duration=1.0):
     sources = {"s": InputSource("s", streaming_rate=60.0)}
     models = {
         "UP": UnitModel(id="UP", task_tag="t", input_sources=("s",)),
         "DN": UnitModel(id="DN", task_tag="t", input_sources=("s",)),
     }
-    edge = DependencyEdge(upstream="UP", downstream="DN", kind=kind, trigger_probability=probability)
+    edge = DependencyEdge(upstream="UP", downstream="DN", trigger_probability=probability)
     scenario = UsageScenario(
         id="p",
         entries=(
@@ -110,7 +110,7 @@ def test_full_probability_gate_runs_everything():
 
 
 def test_downstream_starts_after_upstream_ends():
-    scenario, stream, hw, costs = _pipeline_setup(1.0, kind="data")
+    scenario, stream, hw, costs = _pipeline_setup(1.0)
     log = simulate(scenario, stream, hw, costs)
     ups = {e.request.frame_index: e for e in log.by_model("UP")}
     for e in log.by_model("DN"):
@@ -121,7 +121,7 @@ def test_downstream_starts_after_upstream_ends():
 def test_non_ascii_source_and_edge_ids_simulate():
     sources = {"kamera-é": InputSource("kamera-é", streaming_rate=60.0, max_jitter=0.05)}
     models = {m: UnitModel(id=m, task_tag="t", input_sources=("kamera-é",)) for m in ("détecteur", "suivi")}
-    edge = DependencyEdge(upstream="détecteur", downstream="suivi", kind="control", trigger_probability=0.5)
+    edge = DependencyEdge(upstream="détecteur", downstream="suivi", trigger_probability=0.5)
     scenario = UsageScenario(
         id="p",
         entries=(
@@ -139,7 +139,7 @@ def test_non_ascii_source_and_edge_ids_simulate():
 
 
 def test_eval_control_gate_extremes():
-    edge = lambda p: DependencyEdge(upstream="U", downstream="D", kind="control", trigger_probability=p)
+    edge = lambda p: DependencyEdge(upstream="U", downstream="D", trigger_probability=p)
     assert all(eval_control_gate(edge(1.0), f, 0) for f in range(100))
     assert not any(eval_control_gate(edge(0.0), f, 0) for f in range(100))
     fired = sum(eval_control_gate(edge(0.5), f, 0) for f in range(10_000))
@@ -283,7 +283,7 @@ def test_validate_schedule_detects_overlap():
 
 
 def test_validate_schedule_detects_dependency_violation():
-    edge = DependencyEdge(upstream="UP", downstream="DN", kind="data")
+    edge = DependencyEdge(upstream="UP", downstream="DN")
     scenario = UsageScenario(
         id="x",
         entries=(

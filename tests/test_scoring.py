@@ -13,12 +13,12 @@ from mmtsim.scoring import (
     accuracy_score,
     build_report,
     energy_score,
+    model_report,
     overall_score,
     per_inference_score,
-    per_model_score,
-    per_scenario_score,
     qoe_score,
     rt_score,
+    scenario_report,
 )
 from mmtsim.workload import HIGHER_IS_BETTER, LOWER_IS_BETTER, UnitModel
 
@@ -120,12 +120,12 @@ def test_per_model_score_mean_over_completed_only():
             _entry("A", 2, DROPPED),
         ]
     )
-    assert per_model_score(log, MODEL, CFG) == pytest.approx(0.5)
+    assert model_report(log, MODEL, CFG).model_score == pytest.approx(0.5)
 
 
 def test_per_model_score_zero_when_nothing_completed():
     log = _log([_entry("A", 0, DROPPED)])
-    assert per_model_score(log, MODEL, CFG) == 0.0
+    assert model_report(log, MODEL, CFG).model_score == 0.0
 
 
 def test_overall_score_means():
@@ -152,7 +152,7 @@ def test_scores_reduce_to_qoe_when_everything_else_is_perfect():
     log = simulate(scenario, stream, hw, zero_energy)
     # k large enough that millisecond-scale slacks saturate the sigmoid
     cfg = ScoringConfig(k=10_000.0, e_max_mj=1.0)
-    score = per_scenario_score(log, scenario, config.models, cfg)
+    score = scenario_report(log, scenario, config.models, cfg).scenario_score
     qoes = []
     for model_id in scenario.model_ids:
         c = log.counts[model_id]
