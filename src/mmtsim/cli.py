@@ -209,7 +209,7 @@ def cmd_score(args) -> int:
         raise ConfigError("score requires --scenario")
     config = _load_config(args)
     scenario = config.suite.scenario(args.scenario)
-    with open(args.log, "r", encoding="utf-8", newline="") as fh:
+    with workload.open_text_file(args.log, newline="") as fh:
         log = runtime.log_from_csv(fh, scenario=scenario.id)
     if args.emax is None:
         raise ConfigError("score requires --emax (the cost table is not available here)")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from statistics import NormalDist
 from typing import Mapping
 
@@ -116,21 +115,20 @@ class RequestStream:
 def select_frames(target_rate: float, streaming_rate: float, count: int) -> list[int]:
     """The first `count` source frames a model samples, via a rate accumulator.
 
-    Frame i is selected iff floor((i+1) * rate / SR) > floor(i * rate / SR),
-    which spreads selections evenly and degenerates to every other frame
-    when the target rate is half the streaming rate.
+    With r = target_rate / streaming_rate, taken exactly from the two floats
+    as num/den, frame i is selected iff floor((i+1)·r) > floor(i·r). That
+    spreads selections evenly and degenerates to every other frame when the
+    target rate is half the streaming rate. In closed form, the k-th
+    selected frame is ceil((k+1)·den/num) - 1; when num >= den (a target at
+    or, within validation's 1e-12, above the source rate) every frame is.
     """
-    ratio = Fraction(target_rate) / Fraction(streaming_rate)
-    frames: list[int] = []
-    i = 0
-    prev = 0
-    while len(frames) < count:
-        cur = math.floor((i + 1) * ratio)
-        if cur > prev:
-            frames.append(i)
-        prev = cur
-        i += 1
-    return frames
+    tn, td = target_rate.as_integer_ratio()
+    sn, sd = streaming_rate.as_integer_ratio()
+    num, den = tn * sd, td * sn
+    if num >= den:
+        return list(range(count))
+    # ceil(a/b) - 1 == (a-1) // b for positive integers
+    return [((k + 1) * den - 1) // num for k in range(count)]
 
 
 def target_count(target_rate: float, duration: float) -> int:
@@ -159,6 +157,8 @@ def generate_requests(
 
     requests: list[InferenceRequest] = []
     counts: dict[str, int] = {}
+    # each (source id, frame) arrival once, however many models sample it
+    arrivals: dict[tuple[str, int], int] = {}
     for entry in scenario.entries:
         model = models[entry.model]
         srcs = [sources[s] for s in model.input_sources]
@@ -167,7 +167,13 @@ def generate_requests(
         count = target_count(entry.target_rate, duration)
         counts[entry.model] = count
         for k, frame in enumerate(select_frames(entry.target_rate, drive_rate, count)):
-            t_req = max(_request_time_us(s, frame, seed) for s in srcs)
+            times = []
+            for s in srcs:
+                t = arrivals.get((s.id, frame))
+                if t is None:
+                    t = arrivals[s.id, frame] = _request_time_us(s, frame, seed)
+                times.append(t)
+            t_req = max(times)
             t_dl = _deadline_us(entry.target_rate, k, init_ms)
             requests.append(
                 InferenceRequest(

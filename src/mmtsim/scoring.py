@@ -177,7 +177,12 @@ def model_report(
     counts = log.counts.get(model.id)
     if counts is None:
         log.recount()
-        counts = log.counts[model.id]
+        counts = log.counts.get(model.id)
+    if counts is None:
+        raise ScoringError(
+            f"the log has no requests of model {model.id!r} "
+            "(a window too short for its target rate, or a timeline of another scenario)"
+        )
     denom = counts.n_processed + counts.n_dropped  # untriggered requests were never droppable work
     qoe = qoe_score(counts.n_processed, denom) if denom > 0 else 0.0
     return ModelReport(

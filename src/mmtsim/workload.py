@@ -472,9 +472,17 @@ def config_from_obj(obj: Mapping) -> SuiteConfig:
     return SuiteConfig(sources=sources, models=models, suite=BenchmarkSuite(scenarios=tuple(scenarios)))
 
 
+def open_text_file(path, newline=None):
+    """`path` opened for reading as UTF-8 text; a directory is a ConfigError."""
+    try:
+        return open(path, "r", encoding="utf-8", newline=newline)
+    except IsADirectoryError:
+        raise ConfigError(f"{path}: is a directory, not a file") from None
+
+
 def load_json_file(path):
     """The parsed contents of a JSON file; a file that is not JSON is a ConfigError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text_file(path) as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8

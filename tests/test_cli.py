@@ -192,3 +192,37 @@ def test_malformed_timeline_csv_is_a_config_error(tmp_path, capsys, text, messag
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_model_without_requests_is_a_scoring_error(tmp_path, capsys):
+    # at 0.1 s, KD's 3 Hz target rate gives it no requests
+    code = main(["run", "--hw", "preset:J", "--synthetic", "--duration", "0.1", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'KD'" in err
+
+
+def test_score_with_another_scenarios_timeline_is_a_scoring_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "ar-gaming", "--hw", "preset:A", "--synthetic", "--out", str(out)]) == 0
+    capsys.readouterr()
+    log = out / "timeline_ar-gaming.csv"
+    code = main(["score", "--scenario", "vr-gaming", "--log", str(log), "--emax", "8.0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'ES'" in err
+
+
+@pytest.mark.parametrize("flag", ["--suite", "--hw", "--costs", "--log"])
+def test_directory_where_a_file_is_expected_is_a_config_error(tmp_path, capsys, flag):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if flag == "--log":
+        argv = ["score", "--scenario", "vr-gaming", "--log", str(folder), "--emax", "1.0"]
+    else:
+        args = {"--suite": ["--hw", "preset:A", "--synthetic"], "--hw": ["--synthetic"], "--costs": ["--hw", "preset:A"]}[flag]
+        argv = ["run", flag, str(folder), *args, "--out", str(tmp_path / "o")]
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(folder) in err
