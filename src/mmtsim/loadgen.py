@@ -106,7 +106,6 @@ class RequestStream:
     duration: float
     seed: int
     requests: tuple[InferenceRequest, ...]
-    target_frame_count: Mapping[str, int]
 
     def by_model(self, model: str) -> list[InferenceRequest]:
         return [r for r in self.requests if r.model == model]
@@ -156,7 +155,6 @@ def generate_requests(
         raise ConfigError(f"invalid scenario {scenario.id!r}: " + "; ".join(violations))
 
     requests: list[InferenceRequest] = []
-    counts: dict[str, int] = {}
     # each (source id, frame) arrival once, however many models sample it
     arrivals: dict[tuple[str, int], int] = {}
     for entry in scenario.entries:
@@ -165,7 +163,6 @@ def generate_requests(
         drive_rate = min(s.streaming_rate for s in srcs)
         init_ms = max(s.init_latency for s in srcs)
         count = target_count(entry.target_rate, duration)
-        counts[entry.model] = count
         for k, frame in enumerate(select_frames(entry.target_rate, drive_rate, count)):
             times = []
             for s in srcs:
@@ -185,11 +182,5 @@ def generate_requests(
                 )
             )
     requests.sort(key=lambda r: (r.t_req_us, r.model, r.frame_index))
-    return RequestStream(
-        scenario=scenario.id,
-        duration=duration,
-        seed=seed,
-        requests=tuple(requests),
-        target_frame_count=counts,
-    )
+    return RequestStream(scenario=scenario.id, duration=duration, seed=seed, requests=tuple(requests))
 

@@ -77,22 +77,23 @@ class ModelCounts:
 
 @dataclass
 class EventLog:
-    """The full simulated timeline plus per-model counts."""
+    """The full simulated timeline and its per-model view, built once from
+    `entries`: each model's entries in ascending request index, and counts."""
 
     scenario: str
     hardware: str
     seed: int
     duration: float
     entries: list[TimelineEntry]
-    counts: dict[str, ModelCounts] = field(default_factory=dict)
+    counts: dict[str, ModelCounts] = field(init=False)
 
-    def by_model(self, model: str) -> list[TimelineEntry]:
-        return [e for e in self.entries if e.request.model == model]
-
-    def recount(self) -> None:
-        models: dict[str, list[TimelineEntry]] = {}
+    def __post_init__(self) -> None:
+        groups: dict[str, list[TimelineEntry]] = {}
         for e in self.entries:
-            models.setdefault(e.request.model, []).append(e)
+            groups.setdefault(e.request.model, []).append(e)
+        for es in groups.values():
+            es.sort(key=lambda e: e.request.request_index)
+        self._groups = groups
         self.counts = {
             m: ModelCounts(
                 n_total=len(es),
@@ -101,8 +102,12 @@ class EventLog:
                 n_untriggered=sum(e.status == UNTRIGGERED for e in es),
                 n_sat=sum(e.deadline_met for e in es),
             )
-            for m, es in models.items()
+            for m, es in groups.items()
         }
+
+    def by_model(self, model: str) -> list[TimelineEntry]:
+        """The model's entries, ascending request index (the order scoring sums in)."""
+        return self._groups.get(model, [])
 
 
 class LatencyGreedy:
@@ -286,15 +291,7 @@ def simulate(
         launched[p] if st == COMPLETED else TimelineEntry(r, status=st or DROPPED)
         for p, (r, st) in enumerate(zip(requests, status))
     ]
-    log = EventLog(
-        scenario=scenario.id,
-        hardware=hw.id,
-        seed=seed,
-        duration=stream.duration,
-        entries=entries,
-    )
-    log.recount()
-    return log
+    return EventLog(scenario=scenario.id, hardware=hw.id, seed=seed, duration=stream.duration, entries=entries)
 
 
 def validate_schedule(log: EventLog, scenario: UsageScenario) -> list[str]:
@@ -413,9 +410,7 @@ def log_from_csv(fh, scenario: str = "", hardware: str = "", seed: int = 0, dura
             )
     except (TypeError, ValueError, OverflowError) as exc:  # a short row, or a field that is not a finite number
         raise ConfigError(f"timeline CSV line {reader.line_num}: {exc}") from None
-    log = EventLog(scenario=scenario, hardware=hardware, seed=seed, duration=duration, entries=entries)
-    log.recount()
-    return log
+    return EventLog(scenario=scenario, hardware=hardware, seed=seed, duration=duration, entries=entries)
 
 
 def log_to_obj(log: EventLog) -> dict:

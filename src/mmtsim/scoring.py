@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ScoringError
-from .runtime import COMPLETED, EventLog, TimelineEntry
+from .runtime import COMPLETED, EventLog
 from .workload import (
     HIGHER_IS_BETTER,
     LOWER_IS_BETTER,
@@ -133,51 +133,23 @@ class ScoreReport:
     config: ScoringConfig
 
 
-def _entries_by_model(log: EventLog) -> dict[str, list[TimelineEntry]]:
-    """The log's entries grouped by model in one scan, each ascending request index."""
-    groups: dict[str, list[TimelineEntry]] = {}
-    for e in log.entries:
-        groups.setdefault(e.request.model, []).append(e)
-    for entries in groups.values():
-        entries.sort(key=lambda e: e.request.request_index)
-    return groups
-
-
-def _model_inference_scores(entries: list[TimelineEntry], model: UnitModel, cfg: ScoringConfig):
-    """Yield (rt, en, acc) for the completed ones of a model's sorted entries."""
+def model_report(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> ModelReport:
+    """Score one model of a log: means over its completed entries, in
+    ascending request index (0 when none completed), and its QoE."""
     acc = accuracy_score(achieved_metric(model), accuracy_goal(model), model.metric_direction)
-    for e in entries:
-        if e.status != COMPLETED:
-            continue
-        latency_ms = (e.t_end_us - e.request.t_req_us) / 1000.0
-        slack_ms = e.request.t_slack_us / 1000.0
-        yield (
-            rt_score(latency_ms, slack_ms, cfg.k),
-            energy_score(e.energy_mj, cfg.e_max_mj),
-            acc,
-        )
-
-
-def model_report(
-    log: EventLog, model: UnitModel, cfg: ScoringConfig, *, entries: list[TimelineEntry] | None = None
-) -> ModelReport:
-    """Score one model of a log: means over its completed entries (0 when
-    none completed) and its QoE. `entries` may pass the model's entries,
-    ascending request index, when the caller has grouped the log already."""
-    if entries is None:
-        entries = _entries_by_model(log).get(model.id, [])
     rt_sum = en_sum = acc_sum = product_sum = 0.0
     n = 0
-    for rt, en, acc in _model_inference_scores(entries, model, cfg):
+    for e in log.by_model(model.id):
+        if e.status != COMPLETED:
+            continue
+        rt = rt_score((e.t_end_us - e.request.t_req_us) / 1000.0, e.request.t_slack_us / 1000.0, cfg.k)
+        en = energy_score(e.energy_mj, cfg.e_max_mj)
         rt_sum += rt
         en_sum += en
         acc_sum += acc
         product_sum += per_inference_score(rt, en, acc)
         n += 1
     counts = log.counts.get(model.id)
-    if counts is None:
-        log.recount()
-        counts = log.counts.get(model.id)
     if counts is None:
         raise ScoringError(
             f"the log has no requests of model {model.id!r} "
@@ -207,11 +179,10 @@ def scenario_report(
 ) -> ScenarioReport:
     """Every model's report, and the mean over the scenario's models of
     (model score x QoE)."""
-    groups = _entries_by_model(log)
     reports: dict[str, ModelReport] = {}
     total = 0.0
     for model_id in scenario.model_ids:
-        rep = model_report(log, models[model_id], cfg, entries=groups.get(model_id, []))
+        rep = model_report(log, models[model_id], cfg)
         reports[model_id] = rep
         total += rep.model_score * rep.qoe
     return ScenarioReport(models=reports, scenario_score=total / len(scenario.model_ids))

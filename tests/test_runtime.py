@@ -277,7 +277,6 @@ def test_validate_schedule_detects_overlap():
         TimelineEntry(request=_req("A", 1, t_req=0), unit="u0", t_start_us=50, t_end_us=150, status=COMPLETED),
     ]
     log = EventLog(scenario="x", hardware="h", seed=0, duration=1.0, entries=entries)
-    log.recount()
     scenario = UsageScenario(id="x", entries=(ScenarioEntry(model="A", target_rate=2.0),))
     assert any("occupancy" in v for v in validate_schedule(log, scenario))
 
@@ -296,7 +295,6 @@ def test_validate_schedule_detects_dependency_violation():
         TimelineEntry(request=_req("DN", 0), unit="u1", t_start_us=50, t_end_us=80, status=COMPLETED),
     ]
     log = EventLog(scenario="x", hardware="h", seed=0, duration=1.0, entries=entries)
-    log.recount()
     assert any("dependency" in v for v in validate_schedule(log, scenario))
 
 
@@ -305,7 +303,6 @@ def test_validate_schedule_detects_early_start():
         TimelineEntry(request=_req("A", 0, t_req=100), unit="u0", t_start_us=50, t_end_us=150, status=COMPLETED)
     ]
     log = EventLog(scenario="x", hardware="h", seed=0, duration=1.0, entries=entries)
-    log.recount()
     scenario = UsageScenario(id="x", entries=(ScenarioEntry(model="A", target_rate=2.0),))
     assert any("request time" in v for v in validate_schedule(log, scenario))
 

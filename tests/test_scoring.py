@@ -20,7 +20,7 @@ from mmtsim.scoring import (
     rt_score,
     scenario_report,
 )
-from mmtsim.workload import HIGHER_IS_BETTER, LOWER_IS_BETTER, UnitModel
+from mmtsim.workload import HIGHER_IS_BETTER, LOWER_IS_BETTER, ScenarioEntry, UnitModel, UsageScenario
 
 
 def test_rt_score_midpoint():
@@ -101,9 +101,7 @@ def _entry(model, k, status, t_req=0, t_dl=100_000, t_end=None, energy=0.0):
 
 
 def _log(entries):
-    log = EventLog(scenario="x", hardware="h", seed=0, duration=1.0, entries=entries)
-    log.recount()
-    return log
+    return EventLog(scenario="x", hardware="h", seed=0, duration=1.0, entries=entries)
 
 
 MODEL = UnitModel(id="A", task_tag="t", input_sources=("s",), reported_metric=1.0, metric_direction=HIGHER_IS_BETTER)
@@ -126,6 +124,43 @@ def test_per_model_score_mean_over_completed_only():
 def test_per_model_score_zero_when_nothing_completed():
     log = _log([_entry("A", 0, DROPPED)])
     assert model_report(log, MODEL, CFG).model_score == 0.0
+
+
+def test_log_groups_a_model_in_request_order_whatever_the_entry_order():
+    # A's entries out of request order, interleaved with B's
+    rng = random.Random(0)
+    ordered = []
+    for k in range(12):
+        for model in ("A", "B"):
+            status = DROPPED if k % 5 == 3 else COMPLETED
+            ordered.append(_entry(model, k, status, t_end=rng.randrange(50_000, 150_000), energy=rng.uniform(0, 9)))
+    shuffled = list(ordered)
+    a_slots = [i for i, e in enumerate(shuffled) if e.request.model == "A"]
+    a_entries = [shuffled[i] for i in a_slots]
+    rng.shuffle(a_entries)
+    for i, e in zip(a_slots, a_entries):
+        shuffled[i] = e
+    assert [e.request.request_index for e in a_entries] != list(range(12))
+
+    log = _log(shuffled)
+    assert [e.request.request_index for e in log.by_model("A")] == list(range(12))
+    assert [e.request.request_index for e in log.by_model("B")] == list(range(12))
+
+    def rt_sum(entries):
+        total = 0.0
+        for e in entries:
+            if e.status == COMPLETED:
+                total += rt_score((e.t_end_us - e.request.t_req_us) / 1000.0, e.request.t_slack_us / 1000.0, CFG.k)
+        return total
+
+    assert rt_sum(a_entries) != rt_sum(log.by_model("A"))  # the order of summation shows in the low bits
+
+    scenario = UsageScenario(id="x", entries=tuple(ScenarioEntry(model=m, target_rate=2.0) for m in ("A", "B")))
+    models = {m: UnitModel(id=m, task_tag="t", input_sources=("s",)) for m in ("A", "B")}
+    got = scenario_report(log, scenario, models, CFG)
+    want = scenario_report(_log(ordered), scenario, models, CFG)
+    assert got == want
+    assert got.scenario_score.hex() == want.scenario_score.hex()
 
 
 def test_overall_score_means():
