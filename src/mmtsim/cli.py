@@ -239,6 +239,10 @@ def cmd_export_suite(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", help="suite specification file (default: built-in suite)")
     p.add_argument("--scenario", help="restrict to one scenario id")
+    p.add_argument("--emax", type=float, default=None, help="energy score upper bound (mJ)")
+
+
+def _add_simulation(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hw", help="hardware file, or preset:<A..M>[:<total PEs>]")
     p.add_argument("--costs", help="cost-table file")
     p.add_argument("--synthetic", action="store_true", help="derive costs from model FLOPs")
@@ -246,8 +250,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--policy", default=runtime.LATENCY_GREEDY, choices=[runtime.LATENCY_GREEDY, runtime.ROUND_ROBIN])
     p.add_argument("--duration", type=float, default=DEFAULT_DURATION, help="benchmark window in seconds")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+
+
+def _add_scoring(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=float, default=10.0, help="deadline sensitivity (1/s)")
-    p.add_argument("--emax", type=float, default=None, help="energy score upper bound (mJ)")
     p.add_argument("--scale", default="unit", choices=["unit", "percent"])
 
 
@@ -257,11 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate and score scenarios")
     _add_common(p_run)
+    _add_simulation(p_run)
+    _add_scoring(p_run)
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep a dependency trigger probability")
     _add_common(p_sweep)
+    _add_simulation(p_sweep)
+    _add_scoring(p_sweep)
     p_sweep.add_argument("--edge", required=True, help="edge to sweep, e.g. ES->GE")
     p_sweep.add_argument("--values", required=True, help="comma-separated probabilities")
     p_sweep.add_argument("--out", required=True, help="output directory")
@@ -269,10 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="validate scenarios (and schedules, given hw+costs)")
     _add_common(p_val)
+    _add_simulation(p_val)
     p_val.set_defaults(func=cmd_validate)
 
     p_score = sub.add_parser("score", help="recompute scores from a timeline CSV")
     _add_common(p_score)
+    _add_scoring(p_score)
     p_score.add_argument("--log", required=True, help="timeline CSV from a previous run")
     p_score.add_argument("--out", help="output directory")
     p_score.set_defaults(func=cmd_score)

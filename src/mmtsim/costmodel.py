@@ -8,6 +8,7 @@ roofline-style synthetic generator below.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -34,8 +35,10 @@ class HardwareUnit:
     def __post_init__(self) -> None:
         if self.pe_count <= 0:
             raise ConfigError(f"unit {self.id!r}: pe_count must be > 0")
-        if self.clock_ghz <= 0:
-            raise ConfigError(f"unit {self.id!r}: clock_ghz must be > 0")
+        if not 0 < self.clock_ghz < math.inf:
+            raise ConfigError(f"unit {self.id!r}: clock_ghz must be finite and > 0")
+        if not math.isfinite(self.power_watts):
+            raise ConfigError(f"unit {self.id!r}: power_watts must be finite")
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,10 @@ class CostEntry:
     energy_mj: float
 
     def __post_init__(self) -> None:
-        if self.latency_ms <= 0:
-            raise ConfigError(f"cost ({self.model!r}, {self.unit!r}): latency must be > 0")
-        if self.energy_mj < 0:
-            raise ConfigError(f"cost ({self.model!r}, {self.unit!r}): energy must be >= 0")
+        if not 0 < self.latency_ms < math.inf:
+            raise ConfigError(f"cost ({self.model!r}, {self.unit!r}): latency must be finite and > 0")
+        if not 0 <= self.energy_mj < math.inf:
+            raise ConfigError(f"cost ({self.model!r}, {self.unit!r}): energy must be finite and >= 0")
 
 
 class CostTable:
@@ -81,8 +84,8 @@ class CostTable:
     """
 
     def __init__(self, entries: Iterable[CostEntry], e_max_mj: float):
-        if e_max_mj <= 0:
-            raise ConfigError("e_max_mj must be > 0")
+        if not 0 < e_max_mj < math.inf:
+            raise ConfigError("e_max_mj must be finite and > 0")
         self.e_max_mj = float(e_max_mj)
         self._entries: dict[tuple[str, str], CostEntry] = {}
         for entry in entries:
@@ -182,12 +185,7 @@ ACCELERATOR_PRESETS: dict[str, tuple[str, tuple[tuple[str, int], ...]]] = {
 }
 
 
-def preset_system(
-    preset: str,
-    total_pes: int = 4096,
-    clock_ghz: float = 1.0,
-    power_watts: float = 1.0,
-) -> HardwareSystem:
+def preset_system(preset: str, total_pes: int = 4096) -> HardwareSystem:
     """Instantiate one of the preset accelerator styles A..M."""
     try:
         style, parts = ACCELERATOR_PRESETS[preset.upper()]
@@ -195,13 +193,7 @@ def preset_system(
         raise ConfigError(f"unknown accelerator preset {preset!r} (expected A..M)") from None
     total_ratio = sum(ratio for _, ratio in parts)
     units = tuple(
-        HardwareUnit(
-            id=f"u{i}-{dataflow.lower()}",
-            dataflow=dataflow,
-            pe_count=total_pes * ratio // total_ratio,
-            clock_ghz=clock_ghz,
-            power_watts=power_watts,
-        )
+        HardwareUnit(id=f"u{i}-{dataflow.lower()}", dataflow=dataflow, pe_count=total_pes * ratio // total_ratio)
         for i, (dataflow, ratio) in enumerate(parts)
     )
     return HardwareSystem(id=f"{preset.upper()}-{total_pes // 1024}k", style=style, units=units)

@@ -148,8 +148,8 @@ def generate_requests(
     the aligned frame. Requests near the window end are generated even when
     jitter pushes them past `duration`.
     """
-    if duration <= 0:
-        raise ConfigError("duration must be > 0")
+    if not 0 < duration < math.inf:
+        raise ConfigError("duration must be finite and > 0")
     violations = validate_scenario(scenario, sources, models)
     if violations:
         raise ConfigError(f"invalid scenario {scenario.id!r}: " + "; ".join(violations))

@@ -382,8 +382,10 @@ def log_to_csv(log: EventLog, fh) -> None:
         )
 
 
-def log_from_csv(fh, scenario: str = "", hardware: str = "", seed: int = 0, duration: float = 0.0) -> EventLog:
-    """Read a timeline written by `log_to_csv`; a malformed one is a ConfigError."""
+def log_from_csv(fh, scenario: str = "") -> EventLog:
+    """Read a timeline written by `log_to_csv`; a malformed one is a ConfigError.
+
+    The CSV holds no hardware, seed or duration, so the log's are blank."""
     reader = csv.DictReader(fh)
     missing = [f for f in LOG_CSV_FIELDS if f not in (reader.fieldnames or ())]
     if missing:
@@ -410,7 +412,7 @@ def log_from_csv(fh, scenario: str = "", hardware: str = "", seed: int = 0, dura
             )
     except (TypeError, ValueError, OverflowError) as exc:  # a short row, or a field that is not a finite number
         raise ConfigError(f"timeline CSV line {reader.line_num}: {exc}") from None
-    return EventLog(scenario=scenario, hardware=hardware, seed=seed, duration=duration, entries=entries)
+    return EventLog(scenario=scenario, hardware="", seed=0, duration=0.0, entries=entries)
 
 
 def log_to_obj(log: EventLog) -> dict:

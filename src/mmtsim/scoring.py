@@ -49,10 +49,10 @@ class ScoringConfig:
     report_scale: str = "unit"
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ScoringError("k must be >= 0")
-        if self.e_max_mj <= 0:
-            raise ScoringError("e_max_mj must be > 0")
+        if not 0 <= self.k < math.inf:
+            raise ScoringError("k must be finite and >= 0")
+        if not 0 < self.e_max_mj < math.inf:
+            raise ScoringError("e_max_mj must be finite and > 0")
         if self.report_scale not in ("unit", "percent"):
             raise ScoringError(f"unknown report_scale {self.report_scale!r}")
 

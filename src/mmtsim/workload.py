@@ -32,12 +32,12 @@ class InputSource:
     max_jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.streaming_rate <= 0:
-            raise ConfigError(f"input source {self.id!r}: streaming_rate must be > 0")
-        if self.init_latency < 0:
-            raise ConfigError(f"input source {self.id!r}: init_latency must be >= 0")
-        if self.max_jitter < 0:
-            raise ConfigError(f"input source {self.id!r}: max_jitter must be >= 0")
+        if not 0 < self.streaming_rate < math.inf:
+            raise ConfigError(f"input source {self.id!r}: streaming_rate must be finite and > 0")
+        if not 0 <= self.init_latency < math.inf:
+            raise ConfigError(f"input source {self.id!r}: init_latency must be finite and >= 0")
+        if not 0 <= self.max_jitter < math.inf:
+            raise ConfigError(f"input source {self.id!r}: max_jitter must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class ScenarioEntry:
     dependencies: tuple[DependencyEdge, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.target_rate <= 0:
-            raise ConfigError(f"scenario entry {self.model!r}: target_rate must be > 0")
+        if not 0 < self.target_rate < math.inf:
+            raise ConfigError(f"scenario entry {self.model!r}: target_rate must be finite and > 0")
         for edge in self.dependencies:
             if edge.downstream != self.model:
                 raise ConfigError(

@@ -1,10 +1,18 @@
 import json
+import math
 
 import pytest
 
 from mmtsim import builtin_config
 from mmtsim.cli import main
-from mmtsim.costmodel import CostTable, dump_cost_table_file, preset_system, synthetic_table
+from mmtsim.costmodel import (
+    CostTable,
+    dump_cost_table_file,
+    preset_system,
+    synthetic_table,
+    system_to_obj,
+    table_to_obj,
+)
 from mmtsim.workload import config_to_obj
 
 
@@ -226,3 +234,54 @@ def test_directory_where_a_file_is_expected_is_a_config_error(tmp_path, capsys, 
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(folder) in err
+
+
+NON_FINITE = {
+    "duration-nan": ["--duration", "nan"],
+    "duration-inf": ["--duration", "inf"],
+    "k-nan": ["--k", "nan"],
+    "emax-nan": ["--emax", "nan"],
+    "emax-inf": ["--emax", "inf"],
+    # (file option, list in the file, key of its first item, value)
+    "cost-latency-nan": ("--costs", "entries", "latency_ms", math.nan),
+    "cost-energy-nan": ("--costs", "entries", "energy_mj", math.nan),
+    "hw-clock-nan": ("--hw", "units", "clock_ghz", math.nan),
+    "suite-jitter-nan": ("--suite", "input_sources", "max_jitter_ms", math.nan),
+    "suite-rate-inf": ("--suite", "input_sources", "streaming_rate", math.inf),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_number_is_a_typed_error(tmp_path, capsys, case):
+    argv = ["run", "--hw", "preset:J", "--synthetic", "--out", str(tmp_path / "o")]
+    spec = NON_FINITE[case]
+    if isinstance(spec, list):
+        argv += spec
+    else:
+        flag, items, key, value = spec
+        config, hw = builtin_config(), preset_system("J")
+        obj = {
+            "--costs": table_to_obj(synthetic_table(config.models, hw)),
+            "--hw": system_to_obj(hw),
+            "--suite": config_to_obj(config),
+        }[flag]
+        obj[items][0][key] = value
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))  # NaN and Infinity as JSON's non-standard literals
+        argv += [flag, str(path)]  # a repeated option's last value wins; --costs wins over --synthetic
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["score", "--scenario", "vr-gaming", "--log", "timeline.csv", "--emax", "1.0", "--seed", "3"], ["validate", "--k", "1"]],
+    ids=["score-seed", "validate-k"],
+)
+def test_an_option_the_subcommand_ignores_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mmtsim import ConfigError, CostEntry, CostTable, HardwareSystem, HardwareUnit, UnitModel
@@ -32,8 +34,9 @@ def test_lookup_missing_names_both_ids():
 
 
 def test_zero_latency_entry_rejected():
-    with pytest.raises(ConfigError):
-        CostEntry("HT", "u0", latency_ms=0.0, energy_mj=1.0)
+    for latency, energy in [(0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
+        with pytest.raises(ConfigError):
+            CostEntry("HT", "u0", latency_ms=latency, energy_mj=energy)
 
 
 def test_energy_above_emax_rejected_at_load():
