@@ -1,5 +1,7 @@
+import csv
 import io
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,11 +22,14 @@ from mmtsim import (
     synthetic_table,
     validate_schedule,
 )
+from mmtsim.costmodel import preset_system
 from mmtsim.loadgen import InferenceRequest
 from mmtsim.runtime import (
     COMPLETED,
     DROPPED,
+    UNTRIGGERED,
     EventLog,
+    LOG_CSV_FIELDS,
     LatencyGreedy,
     RoundRobin,
     TimelineEntry,
@@ -317,3 +322,77 @@ def test_log_csv_roundtrip():
     assert [e.status for e in back.entries] == [e.status for e in log.entries]
     assert [e.t_end_us for e in back.entries] == [e.t_end_us for e in log.entries]
     assert back.counts == log.counts
+
+
+def _csv_text(log):
+    buf = io.StringIO()
+    log_to_csv(log, buf)
+    return buf.getvalue()
+
+
+def _timeline_texts():
+    """Timeline CSVs of the built-in suite on an overloaded preset and of
+    fuzzed setups, every other one with zero-energy costs."""
+    config = builtin_config()
+    hw = preset_system("G", total_pes=96)
+    costs = synthetic_table(config.models, hw)
+    texts = []
+    for scenario in config.suite.scenarios:
+        stream = generate_requests(scenario, config.sources, config.models, 2.0, seed=7)
+        texts.append(_csv_text(simulate(scenario, stream, hw, costs)))
+    rng = random.Random(11)
+    for i in range(30):
+        scenario, sources, models, hw, costs = random_setup(rng)
+        if i % 2:
+            costs = CostTable([replace(e, energy_mj=0.0) for e in costs.entries()], e_max_mj=costs.e_max_mj)
+        stream = generate_requests(scenario, sources, models, 0.5, seed=i)
+        texts.append(_csv_text(simulate(scenario, stream, hw, costs)))
+    return texts
+
+
+def test_timeline_csv_reads_back_to_the_same_bytes():
+    texts = _timeline_texts()
+    rows = [row for text in texts for row in csv.DictReader(io.StringIO(text))]
+    assert {row["status"] for row in rows} == {COMPLETED, DROPPED, UNTRIGGERED}
+    assert any(float(row["t_req_ms"]) < 0 for row in rows)
+    assert any(row["status"] == COMPLETED and row["energy_mj"] == "0.0" for row in rows)
+    for text in texts:
+        assert _csv_text(log_from_csv(io.StringIO(text))) == text
+
+
+def _rewrite(text, columns, blank_every=0, extra=False):
+    """The timeline in `text` with its columns in the given order, optionally
+    an extra column and a blank line after every `blank_every` rows."""
+    rows = list(csv.DictReader(io.StringIO(text)))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([*columns, "note"] if extra else columns)
+    for i, row in enumerate(rows):
+        writer.writerow([row[c] for c in columns] + (["x"] if extra else []))
+        if blank_every and i % blank_every == 0:
+            buf.write("\r\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "columns, blank_every, extra",
+    [
+        (tuple(reversed(LOG_CSV_FIELDS)), 0, False),
+        (LOG_CSV_FIELDS, 0, True),
+        (LOG_CSV_FIELDS, 7, False),
+        (LOG_CSV_FIELDS[3:] + LOG_CSV_FIELDS[:3], 5, True),
+    ],
+    ids=["reordered", "extra-column", "blank-lines", "all-three"],
+)
+def test_timeline_csv_layout_does_not_change_the_log(columns, blank_every, extra):
+    text = _timeline_texts()[0]
+    log = log_from_csv(io.StringIO(_rewrite(text, columns, blank_every, extra)))
+    assert _csv_text(log) == text
+    assert log.counts == log_from_csv(io.StringIO(text)).counts
+
+
+def test_short_timeline_row_is_a_config_error_naming_its_line():
+    lines = _timeline_texts()[0].splitlines(keepends=True)
+    short = ",".join(lines[2].split(",")[:5]) + "\r\n"
+    with pytest.raises(ConfigError, match=r"line 3\b"):
+        log_from_csv(io.StringIO("".join([lines[0], lines[1], short, *lines[3:]])))
