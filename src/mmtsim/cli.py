@@ -85,10 +85,9 @@ def _resolved_config_obj(args, hw, table, cfg) -> dict:
     }
 
 
-def _simulate_scenario(scenario, config, hw, table, args):
+def _simulate_scenario(scenario, config, hw, table, args) -> runtime.EventLog:
     stream = loadgen.generate_requests(scenario, config.sources, config.models, args.duration, args.seed)
-    log = runtime.simulate(scenario, stream, hw, table, policy=args.policy)
-    return stream, log
+    return runtime.simulate(scenario, stream, hw, table, policy=args.policy)
 
 
 def _write_scenario_outputs(out: Path, scenario_id: str, log) -> None:
@@ -126,7 +125,7 @@ def cmd_run(args) -> int:
 
     logs = {}
     for scenario in _scenarios(args, config):
-        _, log = _simulate_scenario(scenario, config, hw, table, args)
+        log = _simulate_scenario(scenario, config, hw, table, args)
         logs[scenario.id] = log
         _write_scenario_outputs(out, scenario.id, log)
 
@@ -162,7 +161,7 @@ def cmd_sweep(args) -> int:
     rows = ["probability,rt_mean,en_mean,qoe,n_processed,scenario_score"]
     for p in values:
         scenario = workload.with_edge_probability(base, upstream, downstream, p)
-        _, log = _simulate_scenario(scenario, config, hw, table, args)
+        log = _simulate_scenario(scenario, config, hw, table, args)
         report = scoring.scenario_report(log, scenario, config.models, cfg)
         down = report.models[downstream]
         rows.append(
@@ -193,7 +192,7 @@ def cmd_validate(args) -> int:
         for scenario in _scenarios(args, config):
             if any(v.startswith(scenario.id + ":") for v in violations):
                 continue
-            _, log = _simulate_scenario(scenario, config, hw, table, args)
+            log = _simulate_scenario(scenario, config, hw, table, args)
             for v in runtime.validate_schedule(log, scenario):
                 violations.append(f"{scenario.id}: {v}")
     for v in violations:

@@ -26,8 +26,9 @@ from __future__ import annotations
 import csv
 import heapq
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from .costmodel import CostTable, HardwareSystem, HardwareUnit
 from .errors import ConfigError
@@ -42,28 +43,15 @@ LATENCY_GREEDY = "latency-greedy"
 ROUND_ROBIN = "round-robin"
 
 
-@dataclass
-class TimelineEntry:
-    """The simulated fate of one inference request."""
+class TimelineEntry(NamedTuple):
+    """One request's row of a timeline, built from an EventLog's columns on access."""
 
     request: InferenceRequest
-    unit: str | None = None
-    t_start_us: int | None = None
-    t_end_us: int | None = None
-    status: str | None = None
-    energy_mj: float = 0.0
-
-    @property
-    def t_start_ms(self) -> float | None:
-        return None if self.t_start_us is None else self.t_start_us / US_PER_MS
-
-    @property
-    def t_end_ms(self) -> float | None:
-        return None if self.t_end_us is None else self.t_end_us / US_PER_MS
-
-    @property
-    def deadline_met(self) -> bool:
-        return self.status == COMPLETED and self.t_end_us <= self.request.t_dl_us
+    unit: str | None
+    t_start_us: int | None
+    t_end_us: int | None
+    status: str
+    energy_mj: float
 
 
 @dataclass(frozen=True)
@@ -77,44 +65,56 @@ class ModelCounts:
 
 @dataclass
 class EventLog:
-    """The full simulated timeline and its per-model view, built once from
-    `entries`: each model's entries in ascending request index, and counts."""
+    """The simulated timeline as columns indexed by stream position (a request
+    that never launched has no unit, start or end, and zero energy), and its
+    per-model view, built once: positions in ascending request index (the order
+    scoring sums in) and counts. `entries` and `by_model` build rows on access."""
 
     scenario: str
     hardware: str
     seed: int
     duration: float
-    entries: list[TimelineEntry]
+    requests: Sequence[InferenceRequest]
+    unit: list[str | None]
+    t_start_us: list[int | None]
+    t_end_us: list[int | None]
+    status: list[str]
+    energy_mj: list[float]
+    positions: dict[str, list[int]] = field(init=False)
     counts: dict[str, ModelCounts] = field(init=False)
 
     def __post_init__(self) -> None:
-        groups: dict[str, list[TimelineEntry]] = {}
-        for e in self.entries:
-            groups.setdefault(e.request.model, []).append(e)
-        for es in groups.values():
-            es.sort(key=lambda e: e.request.request_index)
-        self._groups = groups
-        self.counts = {
-            m: ModelCounts(
-                n_total=len(es),
-                n_processed=sum(e.status == COMPLETED for e in es),
-                n_dropped=sum(e.status == DROPPED for e in es),
-                n_untriggered=sum(e.status == UNTRIGGERED for e in es),
-                n_sat=sum(e.deadline_met for e in es),
+        requests, status, t_end_us = self.requests, self.status, self.t_end_us
+        self.positions = {}
+        for p, r in enumerate(requests):
+            self.positions.setdefault(r.model, []).append(p)
+        self.counts = {}
+        for m, ps in self.positions.items():
+            ps.sort(key=lambda p: requests[p].request_index)
+            statuses = [status[p] for p in ps]
+            self.counts[m] = ModelCounts(
+                n_total=len(ps),
+                n_processed=statuses.count(COMPLETED),
+                n_dropped=statuses.count(DROPPED),
+                n_untriggered=statuses.count(UNTRIGGERED),
+                n_sat=sum(status[p] == COMPLETED and t_end_us[p] <= requests[p].t_dl_us for p in ps),
             )
-            for m, es in groups.items()
-        }
+
+    @property
+    def entries(self) -> list[TimelineEntry]:
+        return self._rows(range(len(self.requests)))
 
     def by_model(self, model: str) -> list[TimelineEntry]:
-        """The model's entries, ascending request index (the order scoring sums in)."""
-        return self._groups.get(model, [])
+        return self._rows(self.positions.get(model, ()))
+
+    def _rows(self, positions) -> list[TimelineEntry]:
+        columns = (self.requests, self.unit, self.t_start_us, self.t_end_us, self.status, self.energy_mj)
+        return list(map(TimelineEntry, *([column[p] for p in positions] for column in columns)))
 
 
 class LatencyGreedy:
     """Pick the ready request cheapest on the freeing unit; break ties by
     earlier deadline, then (model, frame)."""
-
-    name = LATENCY_GREEDY
 
     def choose(
         self, ready: Sequence[InferenceRequest], unit: HardwareUnit, costs: CostTable
@@ -127,8 +127,6 @@ class LatencyGreedy:
 
 class RoundRobin:
     """Cycle a per-unit cursor over the scenario's model list."""
-
-    name = ROUND_ROBIN
 
     def __init__(self, model_order: Sequence[str]):
         self._order = list(model_order)
@@ -200,11 +198,14 @@ def simulate(
     requests = stream.requests
     n = len(requests)
 
-    # Request state, indexed by stream position.
+    # Request state, indexed by stream position; the first five lists are the log's columns.
     status: list[str | None] = [None] * n  # set once: launched (COMPLETED) or failed
+    unit: list[str | None] = [None] * n
+    t_start_us: list[int | None] = [None] * n
+    t_end_us: list[int | None] = [None] * n
+    energy_mj = [0.0] * n
     unresolved = [0] * n  # anchored dependencies not yet fired true
     blocked = [False] * n  # an anchor terminally failed; can never launch
-    launched: dict[int, TimelineEntry] = {}  # position -> entry of a launched request
     dependents: dict[int, list[tuple[DependencyEdge, int]]] = {}  # anchor -> (edge, downstream)
 
     # Anchor each dependency edge of a request to the latest upstream request
@@ -281,46 +282,49 @@ def simulate(
             chosen = policy.choose(ready, units[rank], costs)
             ready.remove(chosen)
             p = pending.pop(chosen.model)
-            end = now + lat_us[chosen.model][rank]
             status[p] = COMPLETED
-            launched[p] = TimelineEntry(chosen, unit_ids[rank], now, end, COMPLETED, energy[chosen.model][rank])
-            heapq.heappush(completions, (end, rank, p))
+            unit[p] = unit_ids[rank]
+            t_start_us[p] = now
+            t_end_us[p] = now + lat_us[chosen.model][rank]
+            energy_mj[p] = energy[chosen.model][rank]
+            heapq.heappush(completions, (t_end_us[p], rank, p))
 
     # Requests still waiting when the window closed have no user-visible result.
-    entries = [
-        launched[p] if st == COMPLETED else TimelineEntry(r, status=st or DROPPED)
-        for p, (r, st) in enumerate(zip(requests, status))
-    ]
-    return EventLog(scenario=scenario.id, hardware=hw.id, seed=seed, duration=stream.duration, entries=entries)
+    return EventLog(
+        scenario=scenario.id,
+        hardware=hw.id,
+        seed=seed,
+        duration=stream.duration,
+        requests=requests,
+        unit=unit,
+        t_start_us=t_start_us,
+        t_end_us=t_end_us,
+        status=[st or DROPPED for st in status],
+        energy_mj=energy_mj,
+    )
 
 
 def validate_schedule(log: EventLog, scenario: UsageScenario) -> list[str]:
     """Check occupancy, dependency order, and arrival constraints on a log."""
+
+    def name(e: TimelineEntry) -> str:
+        return f"{e.request.model}[{e.request.request_index}]"
+
     violations: list[str] = []
     per_unit: dict[str, list[TimelineEntry]] = {}
     for e in log.entries:
         if e.status != COMPLETED:
             continue
         if e.t_start_us < e.request.t_req_us:
-            violations.append(
-                f"{e.request.model}[{e.request.request_index}] started before its request time"
-            )
+            violations.append(f"{name(e)} started before its request time")
         per_unit.setdefault(e.unit, []).append(e)
     for unit_id, es in per_unit.items():
         es.sort(key=lambda e: (e.t_start_us, e.t_end_us))
         for prev, cur in zip(es, es[1:]):
             if cur.t_start_us < prev.t_end_us:
-                violations.append(
-                    f"occupancy violation on unit {unit_id}: "
-                    f"{prev.request.model}[{prev.request.request_index}] overlaps "
-                    f"{cur.request.model}[{cur.request.request_index}]"
-                )
+                violations.append(f"occupancy violation on unit {unit_id}: {name(prev)} overlaps {name(cur)}")
 
-    by_model: dict[str, list[TimelineEntry]] = {}
-    for e in log.entries:
-        by_model.setdefault(e.request.model, []).append(e)
-    for es in by_model.values():
-        es.sort(key=lambda e: e.request.frame_index)
+    by_model = {m: sorted(log.by_model(m), key=lambda e: e.request.frame_index) for m in log.positions}
     for entry_spec in scenario.entries:
         for edge in entry_spec.dependencies:
             ups = by_model.get(edge.upstream, [])
@@ -333,15 +337,9 @@ def validate_schedule(log: EventLog, scenario: UsageScenario) -> list[str]:
                     continue
                 up = ups[pos]
                 if up.status != COMPLETED:
-                    violations.append(
-                        f"dependency violation {edge.key}: "
-                        f"{e.request.model}[{e.request.request_index}] ran without its upstream"
-                    )
+                    violations.append(f"dependency violation {edge.key}: {name(e)} ran without its upstream")
                 elif e.t_start_us < up.t_end_us:
-                    violations.append(
-                        f"dependency violation {edge.key}: "
-                        f"{e.request.model}[{e.request.request_index}] started before upstream ended"
-                    )
+                    violations.append(f"dependency violation {edge.key}: {name(e)} started before upstream ended")
     return violations
 
 
@@ -361,58 +359,77 @@ LOG_CSV_FIELDS = (
 )
 
 
+def _ms(t_us: int | None) -> float | None:
+    return None if t_us is None else t_us / US_PER_MS
+
+
+def _us(field_ms: str) -> int:
+    return round(float(field_ms) * US_PER_MS)
+
+
 def log_to_csv(log: EventLog, fh) -> None:
+    """One row per request in stream order; csv writes a float as its repr()
+    and None as an empty field."""
     writer = csv.writer(fh)
     writer.writerow(LOG_CSV_FIELDS)
-    for e in log.entries:
-        r = e.request
-        writer.writerow(
-            [
-                r.model,
-                r.request_index,
-                r.frame_index,
-                e.unit or "",
-                repr(r.t_req_ms),
-                "" if e.t_start_us is None else repr(e.t_start_ms),
-                "" if e.t_end_us is None else repr(e.t_end_ms),
-                repr(r.t_dl_ms),
-                e.status,
-                repr(e.energy_mj),
-            ]
+    writer.writerows(
+        (r.model, r.request_index, r.frame_index, unit, r.t_req_ms, _ms(t_start), _ms(t_end), r.t_dl_ms, status, energy)
+        for r, unit, t_start, t_end, status, energy in zip(
+            log.requests, log.unit, log.t_start_us, log.t_end_us, log.status, log.energy_mj
         )
+    )
 
 
 def log_from_csv(fh, scenario: str = "") -> EventLog:
-    """Read a timeline written by `log_to_csv`; a malformed one is a ConfigError.
-
+    """Read a timeline written by `log_to_csv`, its columns in any order and
+    blank lines skipped; a malformed one is a ConfigError naming its line.
     The CSV holds no hardware, seed or duration, so the log's are blank."""
-    reader = csv.DictReader(fh)
-    missing = [f for f in LOG_CSV_FIELDS if f not in (reader.fieldnames or ())]
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    missing = [f for f in LOG_CSV_FIELDS if f not in header]
     if missing:
         raise ConfigError(f"timeline CSV lacks column(s) {', '.join(missing)}")
-    entries = []
-    try:
+    pick = itemgetter(*(header.index(f) for f in LOG_CSV_FIELDS))
+    requests, unit, t_start_us, t_end_us, status, energy_mj = [], [], [], [], [], []
+    try:  # each check raises ValueError, like a field that is not a (finite) number
         for row in reader:
-            req = InferenceRequest(
-                model=row["model"],
-                frame_index=int(row["frame_index"]),
-                request_index=int(row["request_index"]),
-                t_req_us=round(float(row["t_req_ms"]) * US_PER_MS),
-                t_dl_us=round(float(row["t_dl_ms"]) * US_PER_MS),
-            )
-            entries.append(
-                TimelineEntry(
-                    request=req,
-                    unit=row["unit"] or None,
-                    t_start_us=round(float(row["t_start_ms"]) * US_PER_MS) if row["t_start_ms"] else None,
-                    t_end_us=round(float(row["t_end_ms"]) * US_PER_MS) if row["t_end_ms"] else None,
-                    status=row["status"],
-                    energy_mj=float(row["energy_mj"]),
+            if not row:
+                continue
+            if len(row) < len(header):
+                raise ValueError(f"a short row of {len(row)} fields, the header has {len(header)}")
+            model, request_index, frame_index, u, t_req, t_start, t_end, t_dl, st, energy = pick(row)
+            if st not in (COMPLETED, DROPPED, UNTRIGGERED):
+                raise ValueError(f"unknown status {st!r}")
+            if st == COMPLETED and not (u and t_start and t_end):
+                raise ValueError("a completed request needs a unit, a start and an end")
+            requests.append(
+                InferenceRequest(
+                    model=model,
+                    frame_index=int(frame_index),
+                    request_index=int(request_index),
+                    t_req_us=_us(t_req),
+                    t_dl_us=_us(t_dl),
                 )
             )
-    except (TypeError, ValueError, OverflowError) as exc:  # a short row, or a field that is not a finite number
+            unit.append(u or None)
+            t_start_us.append(_us(t_start) if t_start else None)
+            t_end_us.append(_us(t_end) if t_end else None)
+            status.append(st)
+            energy_mj.append(float(energy))
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"timeline CSV line {reader.line_num}: {exc}") from None
-    return EventLog(scenario=scenario, hardware="", seed=0, duration=0.0, entries=entries)
+    return EventLog(
+        scenario=scenario,
+        hardware="",
+        seed=0,
+        duration=0.0,
+        requests=requests,
+        unit=unit,
+        t_start_us=t_start_us,
+        t_end_us=t_end_us,
+        status=status,
+        energy_mj=energy_mj,
+    )
 
 
 def log_to_obj(log: EventLog) -> dict:
@@ -423,14 +440,5 @@ def log_to_obj(log: EventLog) -> dict:
         "hardware": log.hardware,
         "seed": log.seed,
         "duration_s": log.duration,
-        "counts": {
-            m: {
-                "n_total": c.n_total,
-                "n_processed": c.n_processed,
-                "n_dropped": c.n_dropped,
-                "n_untriggered": c.n_untriggered,
-                "n_sat": c.n_sat,
-            }
-            for m, c in sorted(log.counts.items())
-        },
+        "counts": {m: asdict(c) for m, c in sorted(log.counts.items())},
     }

@@ -71,7 +71,7 @@ def energy_score(e_mj: float, e_max_mj: float) -> float:
     """Linear score: 1 at zero energy, 0 at the configured upper bound."""
     if e_max_mj <= 0:
         raise ScoringError("e_max_mj must be > 0")
-    if e_mj < 0 or e_mj > e_max_mj:
+    if not 0 <= e_mj <= e_max_mj:  # NaN fails too
         raise ScoringError(f"energy {e_mj} mJ outside [0, {e_max_mj}]")
     return (e_max_mj - e_mj) / e_max_mj
 
@@ -139,11 +139,12 @@ def model_report(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> ModelRe
     acc = accuracy_score(achieved_metric(model), accuracy_goal(model), model.metric_direction)
     rt_sum = en_sum = acc_sum = product_sum = 0.0
     n = 0
-    for e in log.by_model(model.id):
-        if e.status != COMPLETED:
+    for p in log.positions.get(model.id, ()):  # ascending request index
+        if log.status[p] != COMPLETED:
             continue
-        rt = rt_score((e.t_end_us - e.request.t_req_us) / 1000.0, e.request.t_slack_us / 1000.0, cfg.k)
-        en = energy_score(e.energy_mj, cfg.e_max_mj)
+        r = log.requests[p]
+        rt = rt_score((log.t_end_us[p] - r.t_req_us) / 1000.0, r.t_slack_us / 1000.0, cfg.k)
+        en = energy_score(log.energy_mj[p], cfg.e_max_mj)
         rt_sum += rt
         en_sum += en
         acc_sum += acc

@@ -57,7 +57,6 @@ class UnitModel:
     reported_metric: float = 1.0
     metric_direction: str = HIGHER_IS_BETTER
     achieved_metric: float | None = None
-    accuracy_requirement: float | None = None
     flops: float | None = None
 
     def __post_init__(self) -> None:
@@ -67,6 +66,9 @@ class UnitModel:
             raise ConfigError(f"model {self.id!r}: bad metric_direction {self.metric_direction!r}")
         if self.flops is not None and self.flops <= 0:
             raise ConfigError(f"model {self.id!r}: flops must be positive when given")
+        achieved = self.achieved_metric
+        if achieved is not None and not (isinstance(achieved, (int, float)) and math.isfinite(achieved)):
+            raise ConfigError(f"model {self.id!r}: achieved_metric must be a finite number or null")
 
 
 @dataclass(frozen=True)
@@ -320,7 +322,6 @@ def builtin_models() -> dict[str, UnitModel]:
             accuracy_metric_id=metric,
             reported_metric=reported,
             metric_direction=direction,
-            accuracy_requirement=requirement,
             flops=flops,
         )
     return models
@@ -396,7 +397,6 @@ def config_to_obj(config: SuiteConfig) -> dict:
                 "reported_metric": m.reported_metric,
                 "metric_direction": m.metric_direction,
                 "achieved_metric": m.achieved_metric,
-                "accuracy_requirement": m.accuracy_requirement,
                 "flops": m.flops,
             }
             for m in config.models.values()
@@ -445,8 +445,7 @@ def config_from_obj(obj: Mapping) -> SuiteConfig:
                 accuracy_metric_id=m.get("accuracy_metric_id", ""),
                 reported_metric=float(m.get("reported_metric", 1.0)),
                 metric_direction=m.get("metric_direction", HIGHER_IS_BETTER),
-                achieved_metric=m.get("achieved_metric"),
-                accuracy_requirement=m.get("accuracy_requirement"),
+                achieved_metric=None if m.get("achieved_metric") is None else float(m["achieved_metric"]),
                 flops=m.get("flops"),
             )
             for m in obj["models"]

@@ -152,8 +152,8 @@ def test_criterion_5_drop_rule_oracle():
     statuses = [e.status for e in log.entries]
     if statuses != [COMPLETED, DROPPED, DROPPED, COMPLETED]:
         failures.append(f"statuses {statuses}")
-    ends = [e.t_end_ms for e in log.entries if e.status == COMPLETED]
-    if ends != [800.0, 1600.0]:
+    ends = [e.t_end_us for e in log.entries if e.status == COMPLETED]
+    if ends != [800_000, 1_600_000]:
         failures.append(f"completion times {ends}")
     _verdict("drop-rule hand-simulation oracle", failures)
 

@@ -190,8 +190,19 @@ def test_malformed_json_file_is_a_config_error(tmp_path, capsys, flag):
             "HT,0,0,u0-ws,x,1.0,2.0,22.2,completed,0.1\n",
             "line 2",
         ),
+        (
+            "model,request_index,frame_index,unit,t_req_ms,t_start_ms,t_end_ms,t_dl_ms,status,energy_mj\n"
+            "HT,0,0,u0-ws,0.0,1.0,2.0,22.2,completed,0.1\n"
+            "HT,1,2,u0-ws,33.3,34.0,,55.5,completed,0.1\n",
+            "line 3",
+        ),
+        (
+            "model,request_index,frame_index,unit,t_req_ms,t_start_ms,t_end_ms,t_dl_ms,status,energy_mj\n"
+            "HT,0,0,,0.0,,,22.2,bogus,0.0\n",
+            "line 2",
+        ),
     ],
-    ids=["missing-column", "non-numeric-field"],
+    ids=["missing-column", "non-numeric-field", "completed-without-end", "unknown-status"],
 )
 def test_malformed_timeline_csv_is_a_config_error(tmp_path, capsys, text, message):
     log = tmp_path / "timeline.csv"
@@ -248,6 +259,9 @@ NON_FINITE = {
     "hw-clock-nan": ("--hw", "units", "clock_ghz", math.nan),
     "suite-jitter-nan": ("--suite", "input_sources", "max_jitter_ms", math.nan),
     "suite-rate-inf": ("--suite", "input_sources", "streaming_rate", math.inf),
+    "suite-achieved-nan": ("--suite", "models", "achieved_metric", math.nan),
+    "suite-achieved-inf": ("--suite", "models", "achieved_metric", math.inf),
+    "suite-achieved-str": ("--suite", "models", "achieved_metric", "abc"),
 }
 
 

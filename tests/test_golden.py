@@ -90,10 +90,13 @@ def test_builtin_suite_report_is_byte_identical_to_recorded_digest():
 
 
 def test_files_with_retired_keys_load_to_the_same_timelines(tmp_path):
-    # Suite files once carried an edge "kind" and hardware files a unit
-    # bandwidth and shared memory; none of them changed a result.
+    # Suite files once carried an edge "kind" and a model's accuracy
+    # requirement, and hardware files a unit bandwidth and shared memory;
+    # none of them changed a result.
     config, hw = builtin_config(), preset_system("G", total_pes=96)
     suite_obj = config_to_obj(config)
+    for model in suite_obj["models"]:
+        model["accuracy_requirement"] = 0.95 * model["reported_metric"]
     for scenario in suite_obj["scenarios"]:
         for entry in scenario["entries"]:
             for dep in entry["dependencies"]:

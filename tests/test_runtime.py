@@ -28,7 +28,6 @@ from mmtsim.runtime import (
     COMPLETED,
     DROPPED,
     UNTRIGGERED,
-    EventLog,
     LOG_CSV_FIELDS,
     LatencyGreedy,
     RoundRobin,
@@ -39,6 +38,7 @@ from mmtsim.runtime import (
 )
 
 from fuzzing import random_setup
+from timelines import log_of
 
 
 def single_model_setup(rate, latency_ms, duration=1.0, units=1):
@@ -58,7 +58,7 @@ def test_two_requests_complete_within_deadline():
     scenario, stream, hw, costs = single_model_setup(rate=2.0, latency_ms=100.0)
     log = simulate(scenario, stream, hw, costs)
     assert [e.status for e in log.entries] == [COMPLETED, COMPLETED]
-    assert all(e.deadline_met for e in log.entries)
+    assert all(e.t_end_us <= e.request.t_dl_us for e in log.entries)
     assert log.counts["A"].n_sat == 2
 
 
@@ -67,8 +67,8 @@ def test_drop_rule_hand_simulation():
     scenario, stream, hw, costs = single_model_setup(rate=4.0, latency_ms=800.0)
     log = simulate(scenario, stream, hw, costs)
     assert [e.status for e in log.entries] == [COMPLETED, DROPPED, DROPPED, COMPLETED]
-    assert log.entries[0].t_end_ms == 800.0
-    assert log.entries[3].t_end_ms == 1600.0
+    assert log.entries[0].t_end_us == 800_000
+    assert log.entries[3].t_end_us == 1_600_000
 
 
 def _pipeline_setup(probability, duration=1.0):
@@ -172,9 +172,9 @@ def test_drop_superseded_rules():
     a, b = log.by_model("A"), log.by_model("B")
 
     # A1 waits from 100 ms while B1 arrives and runs: another model never supersedes it
-    assert a[1].status == COMPLETED and a[1].t_start_ms == 152.0
+    assert a[1].status == COMPLETED and a[1].t_start_us == 152_000
     # A2 arrives at 200 ms while A1 runs: a launched request is never dropped
-    assert a[2].request.t_req_ms == 200.0 and a[1].t_end_ms == 302.0
+    assert a[2].request.t_req_ms == 200.0 and a[1].t_end_us == 302_000
     # A2 and B2 are still waiting when A3 and B3 arrive at 300 ms: both are dropped
     assert [e.status for e in a] == [COMPLETED, COMPLETED, DROPPED, COMPLETED]
     assert [e.status for e in b] == [COMPLETED, COMPLETED, DROPPED, COMPLETED]
@@ -277,11 +277,12 @@ def test_extra_unit_never_increases_drops():
 
 
 def test_validate_schedule_detects_overlap():
-    entries = [
-        TimelineEntry(request=_req("A", 0), unit="u0", t_start_us=0, t_end_us=100, status=COMPLETED),
-        TimelineEntry(request=_req("A", 1, t_req=0), unit="u0", t_start_us=50, t_end_us=150, status=COMPLETED),
-    ]
-    log = EventLog(scenario="x", hardware="h", seed=0, duration=1.0, entries=entries)
+    log = log_of(
+        [
+            TimelineEntry(_req("A", 0), "u0", t_start_us=0, t_end_us=100, status=COMPLETED, energy_mj=0.0),
+            TimelineEntry(_req("A", 1, t_req=0), "u0", t_start_us=50, t_end_us=150, status=COMPLETED, energy_mj=0.0),
+        ]
+    )
     scenario = UsageScenario(id="x", entries=(ScenarioEntry(model="A", target_rate=2.0),))
     assert any("occupancy" in v for v in validate_schedule(log, scenario))
 
@@ -295,19 +296,19 @@ def test_validate_schedule_detects_dependency_violation():
             ScenarioEntry(model="DN", target_rate=2.0, dependencies=(edge,)),
         ),
     )
-    entries = [
-        TimelineEntry(request=_req("UP", 0), unit="u0", t_start_us=0, t_end_us=100, status=COMPLETED),
-        TimelineEntry(request=_req("DN", 0), unit="u1", t_start_us=50, t_end_us=80, status=COMPLETED),
-    ]
-    log = EventLog(scenario="x", hardware="h", seed=0, duration=1.0, entries=entries)
+    log = log_of(
+        [
+            TimelineEntry(_req("UP", 0), "u0", t_start_us=0, t_end_us=100, status=COMPLETED, energy_mj=0.0),
+            TimelineEntry(_req("DN", 0), "u1", t_start_us=50, t_end_us=80, status=COMPLETED, energy_mj=0.0),
+        ]
+    )
     assert any("dependency" in v for v in validate_schedule(log, scenario))
 
 
 def test_validate_schedule_detects_early_start():
-    entries = [
-        TimelineEntry(request=_req("A", 0, t_req=100), unit="u0", t_start_us=50, t_end_us=150, status=COMPLETED)
-    ]
-    log = EventLog(scenario="x", hardware="h", seed=0, duration=1.0, entries=entries)
+    log = log_of(
+        [TimelineEntry(_req("A", 0, t_req=100), "u0", t_start_us=50, t_end_us=150, status=COMPLETED, energy_mj=0.0)]
+    )
     scenario = UsageScenario(id="x", entries=(ScenarioEntry(model="A", target_rate=2.0),))
     assert any("request time" in v for v in validate_schedule(log, scenario))
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from mmtsim import ScoringError, builtin_config, generate_requests, simulate, synthetic_table
 from mmtsim.costmodel import preset_system
-from mmtsim.runtime import COMPLETED, DROPPED, EventLog, TimelineEntry
+from mmtsim.runtime import COMPLETED, DROPPED, TimelineEntry
 from mmtsim.loadgen import InferenceRequest
 from mmtsim.scoring import (
     ScoringConfig,
@@ -21,6 +21,8 @@ from mmtsim.scoring import (
     scenario_report,
 )
 from mmtsim.workload import HIGHER_IS_BETTER, LOWER_IS_BETTER, ScenarioEntry, UnitModel, UsageScenario
+
+from timelines import log_of
 
 
 def test_rt_score_midpoint():
@@ -62,8 +64,9 @@ def test_energy_score_endpoints():
 
 
 def test_energy_score_rejects_out_of_range():
-    with pytest.raises(ScoringError):
-        energy_score(6.0, 5.0)
+    for e_mj in (6.0, -0.1, math.nan):
+        with pytest.raises(ScoringError):
+            energy_score(e_mj, 5.0)
 
 
 def test_accuracy_score_cases():
@@ -96,12 +99,8 @@ def test_per_inference_score_is_product():
 def _entry(model, k, status, t_req=0, t_dl=100_000, t_end=None, energy=0.0):
     req = InferenceRequest(model=model, frame_index=k, request_index=k, t_req_us=t_req, t_dl_us=t_dl)
     if status == COMPLETED:
-        return TimelineEntry(request=req, unit="u0", t_start_us=t_req, t_end_us=t_end, status=status, energy_mj=energy)
-    return TimelineEntry(request=req, status=status)
-
-
-def _log(entries):
-    return EventLog(scenario="x", hardware="h", seed=0, duration=1.0, entries=entries)
+        return TimelineEntry(req, "u0", t_start_us=t_req, t_end_us=t_end, status=status, energy_mj=energy)
+    return TimelineEntry(req, None, t_start_us=None, t_end_us=None, status=status, energy_mj=0.0)
 
 
 MODEL = UnitModel(id="A", task_tag="t", input_sources=("s",), reported_metric=1.0, metric_direction=HIGHER_IS_BETTER)
@@ -111,7 +110,7 @@ CFG = ScoringConfig(k=10.0, e_max_mj=10.0)
 def test_per_model_score_mean_over_completed_only():
     # two completions at exactly the deadline (rt 0.5) with zero energy,
     # plus a dropped frame that must not enter the mean
-    log = _log(
+    log = log_of(
         [
             _entry("A", 0, COMPLETED, t_end=100_000),
             _entry("A", 1, COMPLETED, t_end=100_000),
@@ -122,7 +121,7 @@ def test_per_model_score_mean_over_completed_only():
 
 
 def test_per_model_score_zero_when_nothing_completed():
-    log = _log([_entry("A", 0, DROPPED)])
+    log = log_of([_entry("A", 0, DROPPED)])
     assert model_report(log, MODEL, CFG).model_score == 0.0
 
 
@@ -142,7 +141,7 @@ def test_log_groups_a_model_in_request_order_whatever_the_entry_order():
         shuffled[i] = e
     assert [e.request.request_index for e in a_entries] != list(range(12))
 
-    log = _log(shuffled)
+    log = log_of(shuffled)
     assert [e.request.request_index for e in log.by_model("A")] == list(range(12))
     assert [e.request.request_index for e in log.by_model("B")] == list(range(12))
 
@@ -158,7 +157,7 @@ def test_log_groups_a_model_in_request_order_whatever_the_entry_order():
     scenario = UsageScenario(id="x", entries=tuple(ScenarioEntry(model=m, target_rate=2.0) for m in ("A", "B")))
     models = {m: UnitModel(id=m, task_tag="t", input_sources=("s",)) for m in ("A", "B")}
     got = scenario_report(log, scenario, models, CFG)
-    want = scenario_report(_log(ordered), scenario, models, CFG)
+    want = scenario_report(log_of(ordered), scenario, models, CFG)
     assert got == want
     assert got.scenario_score.hex() == want.scenario_score.hex()
 
