@@ -107,7 +107,7 @@ class EventLog:
     def by_model(self, model: str) -> list[TimelineEntry]:
         return self._rows(self.positions.get(model, ()))
 
-    def _rows(self, positions) -> list[TimelineEntry]:
+    def _rows(self, positions: Sequence[int]) -> list[TimelineEntry]:
         columns = (self.requests, self.unit, self.t_start_us, self.t_end_us, self.status, self.energy_mj)
         return list(map(TimelineEntry, *([column[p] for p in positions] for column in columns)))
 
