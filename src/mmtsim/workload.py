@@ -67,7 +67,8 @@ class UnitModel:
         if self.flops is not None and self.flops <= 0:
             raise ConfigError(f"model {self.id!r}: flops must be positive when given")
         achieved = self.achieved_metric
-        if achieved is not None and not (isinstance(achieved, (int, float)) and math.isfinite(achieved)):
+        is_number = isinstance(achieved, (int, float)) and not isinstance(achieved, bool)
+        if achieved is not None and not (is_number and math.isfinite(achieved)):
             raise ConfigError(f"model {self.id!r}: achieved_metric must be a finite number or null")
 
 
@@ -445,7 +446,7 @@ def config_from_obj(obj: Mapping) -> SuiteConfig:
                 accuracy_metric_id=m.get("accuracy_metric_id", ""),
                 reported_metric=float(m.get("reported_metric", 1.0)),
                 metric_direction=m.get("metric_direction", HIGHER_IS_BETTER),
-                achieved_metric=None if m.get("achieved_metric") is None else float(m["achieved_metric"]),
+                achieved_metric=m.get("achieved_metric"),
                 flops=m.get("flops"),
             )
             for m in obj["models"]

@@ -262,6 +262,8 @@ NON_FINITE = {
     "suite-achieved-nan": ("--suite", "models", "achieved_metric", math.nan),
     "suite-achieved-inf": ("--suite", "models", "achieved_metric", math.inf),
     "suite-achieved-str": ("--suite", "models", "achieved_metric", "abc"),
+    "suite-achieved-numeric-str": ("--suite", "models", "achieved_metric", "1.5"),
+    "suite-achieved-true": ("--suite", "models", "achieved_metric", True),
 }
 
 

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import random
 from dataclasses import replace
@@ -331,9 +332,11 @@ def _csv_text(log):
     return buf.getvalue()
 
 
+@functools.cache
 def _timeline_texts():
     """Timeline CSVs of the built-in suite on an overloaded preset and of
-    fuzzed setups, every other one with zero-energy costs."""
+    fuzzed setups, every other one with zero-energy costs; built once per
+    test session."""
     config = builtin_config()
     hw = preset_system("G", total_pes=96)
     costs = synthetic_table(config.models, hw)
@@ -348,7 +351,7 @@ def _timeline_texts():
             costs = CostTable([replace(e, energy_mj=0.0) for e in costs.entries()], e_max_mj=costs.e_max_mj)
         stream = generate_requests(scenario, sources, models, 0.5, seed=i)
         texts.append(_csv_text(simulate(scenario, stream, hw, costs)))
-    return texts
+    return tuple(texts)
 
 
 def test_timeline_csv_reads_back_to_the_same_bytes():

@@ -5,10 +5,10 @@ from __future__ import annotations
 from mmtsim.runtime import EventLog, TimelineEntry
 
 
-def log_of(rows: list[TimelineEntry], scenario: str = "x") -> EventLog:
+def log_of(rows: list[TimelineEntry]) -> EventLog:
     """The log whose columns hold `rows`, each at its index in the list."""
     return EventLog(
-        scenario=scenario,
+        scenario="x",
         hardware="h",
         seed=0,
         duration=1.0,
