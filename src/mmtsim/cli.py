@@ -182,19 +182,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     config = _load_config(args)
-    violations = []
-    for scenario in _scenarios(args, config):
-        for v in workload.validate_scenario(scenario, config.sources, config.models):
-            violations.append(f"{scenario.id}: {v}")
+    scenarios = _scenarios(args, config)
+    invalid = {s.id: workload.validate_scenario(s, config.sources, config.models) for s in scenarios}
+    violations = [f"{sid}: {v}" for sid, vs in invalid.items() for v in vs]
     if args.hw and (args.costs or args.synthetic):
         hw = _load_hardware(args)
         table = _load_costs(args, config, hw)
-        for scenario in _scenarios(args, config):
-            if any(v.startswith(scenario.id + ":") for v in violations):
-                continue
+        for scenario in scenarios:
+            if invalid[scenario.id]:
+                continue  # an invalid scenario may not simulate at all
             log = _simulate_scenario(scenario, config, hw, table, args)
-            for v in runtime.validate_schedule(log, scenario):
-                violations.append(f"{scenario.id}: {v}")
+            violations += [f"{scenario.id}: {v}" for v in runtime.validate_schedule(log, scenario)]
     for v in violations:
         print(v)
     if violations:
@@ -300,7 +298,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScoringError, FileNotFoundError) as exc:
+    except (ConfigError, ScoringError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,14 @@ and walked with a cursor; only running inferences sit in a heap of
 (end time, unit rank, stream position), at most one entry per unit. At
 equal timestamps, completions free their units in unit id order and
 resolve the gates downstream of them, then arrivals apply the drop rule,
-then free units, lowest id first, take the policy's pick of the ready set.
+then free units, lowest id first, each take one ready request by the policy.
+
+Policies: a model has at most one ready request (a newer arrival drops the
+one waiting), so a policy picks among models. "latency-greedy" takes the
+request with the lowest cost-table latency on the freeing unit, then the
+earliest deadline, then the lowest model id. "round-robin" keeps one cursor per unit: the unit
+takes the first ready model after its previous pick in the scenario's model
+order, wrapping around.
 
 State: per-request state lives in flat lists indexed by stream position.
 A request's status is set exactly once, when it launches (completed) or
@@ -30,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .costmodel import CostTable, HardwareSystem, HardwareUnit
+from .costmodel import CostTable, HardwareSystem
 from .errors import ConfigError
 from .loadgen import US_PER_MS, InferenceRequest, RequestStream, det_rand
 from .workload import SCHEMA_VERSION, DependencyEdge, UsageScenario
@@ -112,53 +119,6 @@ class EventLog:
         return list(map(TimelineEntry, *([column[p] for p in positions] for column in columns)))
 
 
-class LatencyGreedy:
-    """Pick the ready request cheapest on the freeing unit; break ties by
-    earlier deadline, then (model, frame)."""
-
-    def choose(
-        self, ready: Sequence[InferenceRequest], unit: HardwareUnit, costs: CostTable
-    ) -> InferenceRequest:
-        return min(
-            ready,
-            key=lambda r: (costs.lookup(r.model, unit.id).latency_ms, r.t_dl_us, r.model, r.frame_index),
-        )
-
-
-class RoundRobin:
-    """Cycle a per-unit cursor over the scenario's model list."""
-
-    def __init__(self, model_order: Sequence[str]):
-        self._order = list(model_order)
-        self._cursor: dict[str, int] = {}
-
-    def choose(
-        self, ready: Sequence[InferenceRequest], unit: HardwareUnit, costs: CostTable
-    ) -> InferenceRequest:
-        by_model: dict[str, InferenceRequest] = {}
-        for r in ready:
-            cur = by_model.get(r.model)
-            if cur is None or r.frame_index < cur.frame_index:
-                by_model[r.model] = r
-        start = self._cursor.get(unit.id, -1)
-        n = len(self._order)
-        for off in range(1, n + 1):
-            idx = (start + off) % n
-            model = self._order[idx]
-            if model in by_model:
-                self._cursor[unit.id] = idx
-                return by_model[model]
-        raise ValueError("choose() requires a nonempty ready set")
-
-
-def make_policy(name: str, scenario: UsageScenario):
-    if name == LATENCY_GREEDY:
-        return LatencyGreedy()
-    if name == ROUND_ROBIN:
-        return RoundRobin(scenario.model_ids)
-    raise ConfigError(f"unknown scheduler policy {name!r}")
-
-
 def eval_control_gate(edge: DependencyEdge, upstream_frame: int, seed: int) -> bool:
     """Whether a gated downstream launch fires for this upstream completion.
 
@@ -176,7 +136,7 @@ def simulate(
     stream: RequestStream,
     hw: HardwareSystem,
     costs: CostTable,
-    policy=LATENCY_GREEDY,
+    policy: str = LATENCY_GREEDY,
     seed: int | None = None,
 ) -> EventLog:
     """Run the stream on the hardware system and return the event log."""
@@ -184,14 +144,18 @@ def simulate(
         raise ConfigError(f"stream was generated for {stream.scenario!r}, not {scenario.id!r}")
     units = sorted(hw.units, key=lambda u: u.id)  # a unit's rank is its index here
     unit_ids = [u.id for u in units]
+    lat_ms: dict[str, list[float]] = {}  # model -> latency in ms, by unit rank
     lat_us: dict[str, list[int]] = {}  # model -> latency in microseconds, by unit rank
     energy: dict[str, list[float]] = {}  # model -> energy in mJ, by unit rank
     for model_id in scenario.model_ids:
         cost = {u.id: costs.lookup(model_id, u.id) for u in hw.units}  # fail before simulating
-        lat_us[model_id] = [max(1, round(cost[uid].latency_ms * US_PER_MS)) for uid in unit_ids]
+        lat_ms[model_id] = [cost[uid].latency_ms for uid in unit_ids]
+        lat_us[model_id] = [max(1, round(ms * US_PER_MS)) for ms in lat_ms[model_id]]
         energy[model_id] = [cost[uid].energy_mj for uid in unit_ids]
-    if isinstance(policy, str):
-        policy = make_policy(policy, scenario)
+    if policy not in (LATENCY_GREEDY, ROUND_ROBIN):
+        raise ConfigError(f"unknown scheduler policy {policy!r}")
+    order = {m: i for i, m in enumerate(scenario.model_ids)}  # the round-robin cycle
+    last = [-1] * len(units)  # unit rank -> order of its last round-robin pick
     if seed is None:
         seed = stream.seed
 
@@ -276,17 +240,22 @@ def simulate(
         # Free units, lowest rank first, take the policy's pick of the ready set.
         if not (free and pending):
             continue
-        ready = [requests[p] for p in pending.values() if not unresolved[p] and not blocked[p]]
+        ready = [p for p in pending.values() if not unresolved[p] and not blocked[p]]
         while ready and free:
             rank = free.pop(0)
-            chosen = policy.choose(ready, units[rank], costs)
-            ready.remove(chosen)
-            p = pending.pop(chosen.model)
+            if policy == LATENCY_GREEDY:
+                p = min(ready, key=lambda q: (lat_ms[requests[q].model][rank], requests[q].t_dl_us, requests[q].model))
+            else:
+                p = min(ready, key=lambda q: (order[requests[q].model] - last[rank] - 1) % len(order))
+                last[rank] = order[requests[p].model]
+            ready.remove(p)
+            model = requests[p].model
+            del pending[model]
             status[p] = COMPLETED
             unit[p] = unit_ids[rank]
             t_start_us[p] = now
-            t_end_us[p] = now + lat_us[chosen.model][rank]
-            energy_mj[p] = energy[chosen.model][rank]
+            t_end_us[p] = now + lat_us[model][rank]
+            energy_mj[p] = energy[model][rank]
             heapq.heappush(completions, (t_end_us[p], rank, p))
 
     # Requests still waiting when the window closed have no user-visible result.
@@ -402,18 +371,20 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
                 raise ValueError(f"unknown status {st!r}")
             if st == COMPLETED and not (u and t_start and t_end):
                 raise ValueError("a completed request needs a unit, a start and an end")
-            requests.append(
-                InferenceRequest(
-                    model=model,
-                    frame_index=int(frame_index),
-                    request_index=int(request_index),
-                    t_req_us=_us(t_req),
-                    t_dl_us=_us(t_dl),
-                )
+            r = InferenceRequest(
+                model=model,
+                frame_index=int(frame_index),
+                request_index=int(request_index),
+                t_req_us=_us(t_req),
+                t_dl_us=_us(t_dl),
             )
+            start, end = (_us(t_start) if t_start else None), (_us(t_end) if t_end else None)
+            if st == COMPLETED and not r.t_req_us <= start <= end:
+                raise ValueError("a completed request needs t_req_ms <= t_start_ms <= t_end_ms")
+            requests.append(r)
             unit.append(u or None)
-            t_start_us.append(_us(t_start) if t_start else None)
-            t_end_us.append(_us(t_end) if t_end else None)
+            t_start_us.append(start)
+            t_end_us.append(end)
             status.append(st)
             energy_mj.append(float(energy))
     except (ValueError, OverflowError) as exc:

@@ -169,13 +169,6 @@ class SuiteConfig:
     models: Mapping[str, UnitModel]
     suite: BenchmarkSuite
 
-    def validate(self) -> list[str]:
-        violations: list[str] = []
-        for scenario in self.suite.scenarios:
-            for v in validate_scenario(scenario, self.sources, self.models):
-                violations.append(f"{scenario.id}: {v}")
-        return violations
-
 
 def validate_scenario(
     scenario: UsageScenario,

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from mmtsim import builtin_config
+from mmtsim import builtin_config, runtime
 from mmtsim.cli import main
 from mmtsim.costmodel import (
     CostTable,
@@ -67,6 +67,28 @@ def test_validate_reports_violations(tmp_path, capsys):
     suite_path.write_text(json.dumps(obj))
     assert main(["validate", "--suite", str(suite_path)]) == 1
     assert "exceeds" in capsys.readouterr().out
+
+
+def test_validate_checks_the_schedules_of_the_valid_scenarios(tmp_path, capsys, monkeypatch):
+    obj = config_to_obj(builtin_config())
+    for scenario in obj["scenarios"]:
+        if scenario["id"] == "vr-gaming":
+            scenario["entries"][0]["target_rate"] = 90.0  # over-rate: cannot be simulated
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(json.dumps(obj))
+    checked = []
+    original = runtime.validate_schedule
+
+    def validate_schedule(log, scenario):
+        checked.append(scenario.id)
+        return original(log, scenario)
+
+    monkeypatch.setattr(runtime, "validate_schedule", validate_schedule)
+    assert main(["validate", "--suite", str(suite_path), "--hw", "preset:J", "--synthetic"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("vr-gaming: ") for line in lines)
+    assert "exceeds" in lines[0]
+    assert checked == [s["id"] for s in obj["scenarios"] if s["id"] != "vr-gaming"]
 
 
 def test_export_suite_matches_builtin(tmp_path):
@@ -201,8 +223,27 @@ def test_malformed_json_file_is_a_config_error(tmp_path, capsys, flag):
             "HT,0,0,,0.0,,,22.2,bogus,0.0\n",
             "line 2",
         ),
+        (
+            "model,request_index,frame_index,unit,t_req_ms,t_start_ms,t_end_ms,t_dl_ms,status,energy_mj\n"
+            "HT,0,0,u0-ws,0.0,1.0,2.0,22.2,completed,0.1\n"
+            "HT,1,2,u0-ws,33.3,34.0,-16.7,55.5,completed,0.1\n",
+            "line 3: a completed request needs t_req_ms <= t_start_ms <= t_end_ms",
+        ),
+        (
+            "model,request_index,frame_index,unit,t_req_ms,t_start_ms,t_end_ms,t_dl_ms,status,energy_mj\n"
+            "HT,0,0,u0-ws,0.0,1.0,2.0,22.2,completed,0.1\n"
+            "HT,1,2,u0-ws,33.3,33.2,34.0,55.5,completed,0.1\n",
+            "line 3: a completed request needs t_req_ms <= t_start_ms <= t_end_ms",
+        ),
     ],
-    ids=["missing-column", "non-numeric-field", "completed-without-end", "unknown-status"],
+    ids=[
+        "missing-column",
+        "non-numeric-field",
+        "completed-without-end",
+        "unknown-status",
+        "end-before-request",
+        "start-before-request",
+    ],
 )
 def test_malformed_timeline_csv_is_a_config_error(tmp_path, capsys, text, message):
     log = tmp_path / "timeline.csv"
@@ -245,6 +286,29 @@ def test_directory_where_a_file_is_expected_is_a_config_error(tmp_path, capsys, 
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(folder) in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "score", "run-under-a-file"])
+def test_unusable_out_is_a_typed_error(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    argv = {
+        "run": ["run", "--scenario", "ar-gaming", "--hw", "preset:J", "--synthetic", "--out", str(taken)],
+        "sweep": ["sweep", "--scenario", "vr-gaming", "--edge", "ES->GE", "--values", "0.5", "--hw", "preset:J",
+                  "--synthetic", "--out", str(taken)],
+        "score": ["score", "--scenario", "vr-gaming", "--log", str(tmp_path / "timeline.csv"), "--emax", "1.0",
+                  "--out", str(taken)],
+        "run-under-a-file": ["run", "--scenario", "ar-gaming", "--hw", "preset:J", "--synthetic",
+                             "--out", str(taken / "sub")],
+    }[command]
+    if command == "score":
+        assert main(["run", "--scenario", "vr-gaming", "--hw", "preset:J", "--synthetic", "--out", str(tmp_path)]) == 0
+        (tmp_path / "timeline_vr-gaming.csv").rename(tmp_path / "timeline.csv")
+        capsys.readouterr()
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
 
 
 NON_FINITE = {

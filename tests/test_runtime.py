@@ -24,14 +24,12 @@ from mmtsim import (
     validate_schedule,
 )
 from mmtsim.costmodel import preset_system
-from mmtsim.loadgen import InferenceRequest
+from mmtsim.loadgen import InferenceRequest, RequestStream
 from mmtsim.runtime import (
     COMPLETED,
     DROPPED,
     UNTRIGGERED,
     LOG_CSV_FIELDS,
-    LatencyGreedy,
-    RoundRobin,
     TimelineEntry,
     eval_control_gate,
     log_from_csv,
@@ -181,45 +179,64 @@ def test_drop_superseded_rules():
     assert [e.status for e in b] == [COMPLETED, COMPLETED, DROPPED, COMPLETED]
 
 
-def _cost_pair():
-    return CostTable(
-        [CostEntry("A", "u0", 2.0, 0.0), CostEntry("B", "u0", 5.0, 0.0), CostEntry("C", "u0", 5.0, 0.0)],
-        e_max_mj=1.0,
-    )
+def _hand_run(latency_ms, arrivals, policy, units=1):
+    """Simulate hand-placed requests; `latency_ms` maps each model, in scenario
+    order, to its cost on every unit, and each arrival is (model, t_req_ms, t_dl_ms).
+    Returns the completed requests as (model, request index, unit, start ms) in start order."""
+    scenario = UsageScenario(id="x", entries=tuple(ScenarioEntry(model=m, target_rate=1.0) for m in latency_ms))
+    seen = {}
+    requests = []
+    for model, t_req, t_dl in arrivals:
+        k = seen[model] = seen.get(model, -1) + 1
+        requests.append(_req(model, k, t_req=round(t_req * 1000), t_dl=round(t_dl * 1000)))
+    stream = RequestStream(scenario="x", duration=1.0, seed=0, requests=tuple(requests))
+    hw_units = tuple(HardwareUnit(id=f"u{i}", dataflow="WS", pe_count=1) for i in range(units))
+    hw = HardwareSystem(id="h", style="FDA" if units == 1 else "SFDA", units=hw_units)
+    costs = CostTable([CostEntry(m, u.id, lat, 0.0) for m, lat in latency_ms.items() for u in hw_units], e_max_mj=1.0)
+    log = simulate(scenario, stream, hw, costs, policy=policy)
+    runs = [e for e in log.entries if e.status == COMPLETED]
+    assert len(runs) == len(requests)
+    runs.sort(key=lambda e: (e.t_start_us, e.unit))
+    return [(e.request.model, e.request.request_index, e.unit, e.t_start_us / 1000) for e in runs]
 
 
-def test_latency_greedy_prefers_smaller_latency():
-    unit = HardwareUnit(id="u0", dataflow="WS", pe_count=1)
-    policy = LatencyGreedy()
-    ready = [_req("A", 0), _req("B", 0)]
-    assert policy.choose(ready, unit, _cost_pair()).model == "A"
+def test_latency_greedy_starts_the_cheaper_model_first():
+    # same arrival and deadline: B is cheaper, though A sorts first; A and C tie, so model id decides
+    runs = _hand_run({"A": 5.0, "B": 2.0, "C": 5.0}, [(m, 0.0, 100.0) for m in "ABC"], "latency-greedy")
+    assert runs == [("B", 0, "u0", 0.0), ("A", 0, "u0", 2.0), ("C", 0, "u0", 7.0)]
 
 
-def test_latency_greedy_tie_breaks_on_deadline():
-    unit = HardwareUnit(id="u0", dataflow="WS", pe_count=1)
-    policy = LatencyGreedy()
-    ready = [_req("C", 0, t_dl=1000), _req("B", 0, t_dl=500)]
-    assert policy.choose(ready, unit, _cost_pair()).model == "B"
-    assert policy.choose([_req("B", 0)], unit, _cost_pair()).model == "B"
+def test_latency_greedy_breaks_a_latency_tie_by_the_earlier_deadline():
+    runs = _hand_run({"A": 5.0, "B": 5.0}, [("A", 0.0, 100.0), ("B", 0.0, 50.0)], "latency-greedy")
+    assert runs == [("B", 0, "u0", 0.0), ("A", 0, "u0", 5.0)]
 
 
-def test_round_robin_cursor():
-    unit = HardwareUnit(id="u0", dataflow="WS", pe_count=1)
-    policy = RoundRobin(["A", "B", "C"])
-    costs = _cost_pair()
-    # first pick starts at the list head
-    assert policy.choose([_req("A", 0), _req("C", 0)], unit, costs).model == "A"
-    # cursor now after A; B not ready, so skip to C
-    assert policy.choose([_req("A", 1), _req("C", 0)], unit, costs).model == "C"
-    # cursor wraps past the end
-    assert policy.choose([_req("A", 1)], unit, costs).model == "A"
+def test_round_robin_skips_a_model_that_is_not_ready_and_wraps_around():
+    arrivals = [("A", 0.0, 1000.0), ("C", 0.0, 1000.0), ("A", 5.0, 1000.0), ("B", 15.0, 1000.0)]
+    runs = _hand_run({"A": 10.0, "B": 10.0, "C": 10.0}, arrivals, "round-robin")
+    # A first; at 10 ms B has not arrived, so C; at 20 ms the cursor wraps from C to A ahead of B
+    assert runs == [("A", 0, "u0", 0.0), ("C", 0, "u0", 10.0), ("A", 1, "u0", 20.0), ("B", 0, "u0", 30.0)]
+    # latency-greedy (equal costs and deadlines) would take A1 at 10 ms
+    assert _hand_run({"A": 10.0, "B": 10.0, "C": 10.0}, arrivals, "latency-greedy")[1] == ("A", 1, "u0", 10.0)
 
 
-def test_round_robin_is_only_choice_regardless_of_cursor():
-    unit = HardwareUnit(id="u0", dataflow="WS", pe_count=1)
-    policy = RoundRobin(["A", "B", "C"])
-    policy._cursor[unit.id] = 2
-    assert policy.choose([_req("B", 0)], unit, _cost_pair()).model == "B"
+def test_round_robin_keeps_one_cursor_per_unit():
+    arrivals = [("A", 0.0, 1000.0), ("B", 0.0, 1000.0), ("C", 5.0, 1000.0), ("A", 8.0, 1000.0), ("B", 8.0, 1000.0)]
+    runs = _hand_run({"A": 10.0, "B": 1.0, "C": 10.0}, arrivals, "round-robin", units=2)
+    # u1's last pick was C, but u0's was A, so u0 takes B1 before A1 at 10 ms
+    assert runs == [
+        ("A", 0, "u0", 0.0),
+        ("B", 0, "u1", 0.0),
+        ("C", 0, "u1", 5.0),
+        ("B", 1, "u0", 10.0),
+        ("A", 1, "u0", 11.0),
+    ]
+
+
+def test_unknown_policy_is_a_config_error():
+    scenario, stream, hw, costs = single_model_setup(rate=2.0, latency_ms=1.0)
+    with pytest.raises(ConfigError, match="unknown scheduler policy 'fifo'"):
+        simulate(scenario, stream, hw, costs, policy="fifo")
 
 
 def test_missing_cost_entry_fails_before_simulation():

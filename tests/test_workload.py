@@ -49,7 +49,8 @@ def test_builtin_trigger_probabilities():
 
 def test_builtin_suite_validates():
     config = builtin_config()
-    assert config.validate() == []
+    for scenario in config.suite.scenarios:
+        assert validate_scenario(scenario, config.sources, config.models) == []
 
 
 def _toy(models=None, entries=None):
