@@ -15,9 +15,9 @@ then free units, lowest id first, each take one ready request by the policy.
 Policies: a model has at most one ready request (a newer arrival drops the
 one waiting), so a policy picks among models. "latency-greedy" takes the
 request with the lowest cost-table latency on the freeing unit, then the
-earliest deadline, then the lowest model id. "round-robin" keeps one cursor per unit: the unit
-takes the first ready model after its previous pick in the scenario's model
-order, wrapping around.
+earliest deadline, then the lowest model id. "round-robin" keeps one cursor
+per unit: the unit takes the first ready model after its previous pick in
+the scenario's model order, wrapping around.
 
 State: per-request state lives in flat lists indexed by stream position.
 A request's status is set exactly once, when it launches (completed) or
