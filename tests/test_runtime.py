@@ -211,13 +211,20 @@ def test_latency_greedy_breaks_a_latency_tie_by_the_earlier_deadline():
     assert runs == [("B", 0, "u0", 0.0), ("A", 0, "u0", 5.0)]
 
 
-def test_round_robin_skips_a_model_that_is_not_ready_and_wraps_around():
+def test_round_robin_cursor():
     arrivals = [("A", 0.0, 1000.0), ("C", 0.0, 1000.0), ("A", 5.0, 1000.0), ("B", 15.0, 1000.0)]
     runs = _hand_run({"A": 10.0, "B": 10.0, "C": 10.0}, arrivals, "round-robin")
     # A first; at 10 ms B has not arrived, so C; at 20 ms the cursor wraps from C to A ahead of B
     assert runs == [("A", 0, "u0", 0.0), ("C", 0, "u0", 10.0), ("A", 1, "u0", 20.0), ("B", 0, "u0", 30.0)]
     # latency-greedy (equal costs and deadlines) would take A1 at 10 ms
     assert _hand_run({"A": 10.0, "B": 10.0, "C": 10.0}, arrivals, "latency-greedy")[1] == ("A", 1, "u0", 10.0)
+
+
+def test_round_robin_is_only_choice_regardless_of_cursor():
+    # the cursor has just passed B, and then C; each time the lone ready model is still taken
+    arrivals = [("B", 0.0, 1000.0), ("B", 5.0, 1000.0), ("C", 15.0, 1000.0), ("C", 25.0, 1000.0)]
+    runs = _hand_run({"A": 10.0, "B": 10.0, "C": 10.0}, arrivals, "round-robin")
+    assert runs == [("B", 0, "u0", 0.0), ("B", 1, "u0", 10.0), ("C", 0, "u0", 20.0), ("C", 1, "u0", 30.0)]
 
 
 def test_round_robin_keeps_one_cursor_per_unit():
