@@ -142,6 +142,48 @@ def test_non_ascii_source_and_edge_ids_simulate():
     assert counts.n_processed + counts.n_untriggered == counts.n_total == 60
 
 
+def _one_unit_scenario(latency_ms, edges):
+    """A scenario of `latency_ms`'s models, in that order, each at 10 Hz on one 10 Hz
+    source, with `edges` as (upstream, downstream, trigger probability); and one unit
+    on which each model takes its given latency."""
+    sources = {"s": InputSource("s", streaming_rate=10.0)}
+    models = {m: UnitModel(id=m, task_tag="t", input_sources=("s",)) for m in latency_ms}
+    deps = {m: tuple(DependencyEdge(up, down, p) for up, down, p in edges if down == m) for m in latency_ms}
+    scenario = UsageScenario(
+        id="x", entries=tuple(ScenarioEntry(model=m, target_rate=10.0, dependencies=deps[m]) for m in latency_ms)
+    )
+    hw = HardwareSystem(id="h", style="FDA", units=(HardwareUnit(id="u0", dataflow="WS", pe_count=1),))
+    costs = CostTable([CostEntry(m, "u0", latency_ms=lat, energy_mj=0.0) for m, lat in latency_ms.items()], e_max_mj=1.0)
+    return scenario, sources, models, hw, costs
+
+
+def test_a_request_whose_anchor_was_untriggered_never_launches():
+    # A -> B never fires, so every B is untriggered, and C waits on B: no C may launch
+    scenario, sources, models, hw, costs = _one_unit_scenario(
+        {"A": 1.0, "B": 1.0, "C": 1.0}, [("A", "B", 0.0), ("B", "C", 1.0)]
+    )
+    log = simulate(scenario, generate_requests(scenario, sources, models, 0.5, seed=0), hw, costs)
+    assert [e.status for e in log.by_model("A")] == [COMPLETED] * 5
+    assert [e.status for e in log.by_model("B")] == [UNTRIGGERED] * 5
+    assert [e.status for e in log.by_model("C")] == [DROPPED] * 5
+
+
+def test_a_request_whose_anchor_was_dropped_never_launches():
+    # X runs from 0 to 100 ms. U0 (frame 0) waits from 10 ms and is dropped when U1 (frame 2)
+    # arrives at 50 ms. D0 (frame 1) anchors to U0, and no later D arrival supersedes it, so
+    # it is still waiting when the unit frees at 100 ms: it must not launch then.
+    scenario, _, _, hw, costs = _one_unit_scenario({"X": 100.0, "U": 1.0, "D": 1.0}, [("U", "D", 1.0)])
+    requests = (
+        InferenceRequest("X", frame_index=0, request_index=0, t_req_us=0, t_dl_us=1_000_000),
+        InferenceRequest("U", frame_index=0, request_index=0, t_req_us=10_000, t_dl_us=1_000_000),
+        InferenceRequest("D", frame_index=1, request_index=0, t_req_us=20_000, t_dl_us=1_000_000),
+        InferenceRequest("U", frame_index=2, request_index=1, t_req_us=50_000, t_dl_us=1_000_000),
+    )
+    log = simulate(scenario, RequestStream(scenario="x", duration=1.0, seed=0, requests=requests), hw, costs)
+    assert log.status == [COMPLETED, DROPPED, DROPPED, COMPLETED]
+    assert log.t_start_us[3] == 100_000
+
+
 def test_eval_control_gate_extremes():
     edge = lambda p: DependencyEdge(upstream="U", downstream="D", trigger_probability=p)
     assert all(eval_control_gate(edge(1.0), f, 0) for f in range(100))
