@@ -52,14 +52,12 @@ def _load_costs(args, config: workload.SuiteConfig, hw: costmodel.HardwareSystem
             table = costmodel.CostTable(table.entries(), e_max_mj=args.emax)
         return table
     if args.synthetic:
-        return costmodel.synthetic_table(
-            config.models, hw, e_max_mj=args.emax, efficiency=args.efficiency
-        )
+        return costmodel.synthetic_table(config.models, hw, e_max_mj=args.emax)
     raise ConfigError("either --costs <file> or --synthetic is required")
 
 
 def _scoring_config(args, table: costmodel.CostTable) -> scoring.ScoringConfig:
-    return scoring.ScoringConfig(k=args.k, e_max_mj=table.e_max_mj, report_scale=args.scale)
+    return scoring.ScoringConfig(k=args.k, e_max_mj=table.e_max_mj)
 
 
 def _scenarios(args, config: workload.SuiteConfig) -> list[workload.UsageScenario]:
@@ -80,7 +78,6 @@ def _resolved_config_obj(args, hw, table, cfg) -> dict:
         "scoring": {
             "k": cfg.k,
             "e_max_mj": cfg.e_max_mj,
-            "report_scale": cfg.report_scale,
         },
     }
 
@@ -185,7 +182,7 @@ def cmd_validate(args) -> int:
     scenarios = _scenarios(args, config)
     invalid = {s.id: workload.validate_scenario(s, config.sources, config.models) for s in scenarios}
     violations = [f"{sid}: {v}" for sid, vs in invalid.items() for v in vs]
-    if args.hw and (args.costs or args.synthetic):
+    if args.hw or args.costs or args.synthetic:
         hw = _load_hardware(args)
         table = _load_costs(args, config, hw)
         for scenario in scenarios:
@@ -210,7 +207,7 @@ def cmd_score(args) -> int:
         log = runtime.log_from_csv(fh, scenario=scenario.id)
     if args.emax is None:
         raise ConfigError("score requires --emax (the cost table is not available here)")
-    cfg = scoring.ScoringConfig(k=args.k, e_max_mj=args.emax, report_scale=args.scale)
+    cfg = scoring.ScoringConfig(k=args.k, e_max_mj=args.emax)
     report = scoring.build_report({scenario.id: log}, config, cfg)
     obj = scoring.report_to_obj(report)
     text = json.dumps(obj, indent=2) + "\n"
@@ -243,7 +240,6 @@ def _add_simulation(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hw", help="hardware file, or preset:<A..M>[:<total PEs>]")
     p.add_argument("--costs", help="cost-table file")
     p.add_argument("--synthetic", action="store_true", help="derive costs from model FLOPs")
-    p.add_argument("--efficiency", type=float, default=1.0, help="synthetic roofline efficiency in (0,1]")
     p.add_argument("--policy", default=runtime.LATENCY_GREEDY, choices=[runtime.LATENCY_GREEDY, runtime.ROUND_ROBIN])
     p.add_argument("--duration", type=float, default=DEFAULT_DURATION, help="benchmark window in seconds")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -251,7 +247,6 @@ def _add_simulation(p: argparse.ArgumentParser) -> None:
 
 def _add_scoring(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=float, default=10.0, help="deadline sensitivity (1/s)")
-    p.add_argument("--scale", default="unit", choices=["unit", "percent"])
 
 
 def build_parser() -> argparse.ArgumentParser:

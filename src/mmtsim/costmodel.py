@@ -7,7 +7,6 @@ roofline-style synthetic generator below.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -109,19 +108,15 @@ class CostTable:
         return sorted(self._entries.values(), key=lambda e: (e.model, e.unit))
 
 
-def synthetic_cost(model: UnitModel, unit: HardwareUnit, efficiency: float = 1.0) -> CostEntry:
+def synthetic_cost(model: UnitModel, unit: HardwareUnit) -> CostEntry:
     """A MACs/cycle roofline estimate for one model on one unit.
 
-    latency = flops / (PEs * 2 MACs * clock * efficiency);
+    latency = flops / (PEs * 2 MACs * clock);
     energy = latency * the unit's power draw.
     """
     if model.flops is None:
         raise ConfigError(f"model {model.id!r}: flops required for synthetic costs")
-    if not 0.0 < efficiency <= 1.0:
-        raise ConfigError("efficiency must be in (0, 1]")
-    latency_ms = (
-        model.flops / (unit.pe_count * MACS_PER_PE_PER_CYCLE * unit.clock_ghz * 1e9 * efficiency) * 1e3
-    )
+    latency_ms = model.flops / (unit.pe_count * MACS_PER_PE_PER_CYCLE * unit.clock_ghz * 1e9) * 1e3
     return CostEntry(
         model=model.id,
         unit=unit.id,
@@ -134,27 +129,12 @@ def synthetic_table(
     models: Mapping[str, UnitModel],
     system: HardwareSystem,
     e_max_mj: float | None = None,
-    efficiency: float | Mapping[str, float] = 1.0,
 ) -> CostTable:
     """Build a full cost table for `models` x `system.units`.
 
-    `efficiency` is a scalar, or a map keyed by dataflow ("WS") or by
-    "dataflow:model" ("WS:HT") for dataflow-sensitive factors. When no
-    e_max is given, twice the largest per-inference energy is used.
+    When no e_max is given, twice the largest per-inference energy is used.
     """
-
-    def eff_for(unit: HardwareUnit, model: UnitModel) -> float:
-        if isinstance(efficiency, Mapping):
-            return efficiency.get(
-                f"{unit.dataflow}:{model.id}", efficiency.get(unit.dataflow, 1.0)
-            )
-        return efficiency
-
-    entries = [
-        synthetic_cost(model, unit, eff_for(unit, model))
-        for model in models.values()
-        for unit in system.units
-    ]
+    entries = [synthetic_cost(model, unit) for model in models.values() for unit in system.units]
     if e_max_mj is None:
         e_max_mj = 2.0 * max(e.energy_mj for e in entries)
     return CostTable(entries, e_max_mj=e_max_mj)
@@ -244,12 +224,6 @@ def load_hardware_file(path) -> HardwareSystem:
     return system_from_obj(load_json_file(path))
 
 
-def dump_hardware_file(system: HardwareSystem, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_obj(system), fh, indent=2)
-        fh.write("\n")
-
-
 def table_to_obj(table: CostTable) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -279,9 +253,3 @@ def table_from_obj(obj: Mapping) -> CostTable:
 
 def load_cost_table_file(path) -> CostTable:
     return table_from_obj(load_json_file(path))
-
-
-def dump_cost_table_file(table: CostTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table_to_obj(table), fh, indent=2)
-        fh.write("\n")

@@ -22,7 +22,8 @@ the scenario's model order, wrapping around.
 State: per-request state lives in flat lists indexed by stream position.
 A request's status is set exactly once, when it launches (completed) or
 fails (dropped or untriggered); requests still waiting when the stream
-runs out are dropped.
+runs out are dropped. A failed anchor never completes, so its edges never
+fire and its dependents never launch.
 
 A single simulation is strictly single-threaded and deterministic; multiple
 simulations can run concurrently since all inputs are immutable.
@@ -137,7 +138,6 @@ def simulate(
     hw: HardwareSystem,
     costs: CostTable,
     policy: str = LATENCY_GREEDY,
-    seed: int | None = None,
 ) -> EventLog:
     """Run the stream on the hardware system and return the event log."""
     if stream.scenario != scenario.id:
@@ -156,8 +156,6 @@ def simulate(
         raise ConfigError(f"unknown scheduler policy {policy!r}")
     order = {m: i for i, m in enumerate(scenario.model_ids)}  # the round-robin cycle
     last = [-1] * len(units)  # unit rank -> order of its last round-robin pick
-    if seed is None:
-        seed = stream.seed
 
     requests = stream.requests
     n = len(requests)
@@ -169,7 +167,6 @@ def simulate(
     t_end_us: list[int | None] = [None] * n
     energy_mj = [0.0] * n
     unresolved = [0] * n  # anchored dependencies not yet fired true
-    blocked = [False] * n  # an anchor terminally failed; can never launch
     dependents: dict[int, list[tuple[DependencyEdge, int]]] = {}  # anchor -> (edge, downstream)
 
     # Anchor each dependency edge of a request to the latest upstream request
@@ -189,11 +186,6 @@ def simulate(
                     continue  # no upstream frame precedes; nothing to wait on
                 dependents.setdefault(up_by_index[k], []).append((edge, p))
                 unresolved[p] += 1
-
-    def fail(p: int, why: str) -> None:
-        status[p] = why
-        for _, d in dependents.get(p, ()):  # downstream can never fire now
-            blocked[d] = True
 
     arrival_key = [(r.t_req_us, r.model, r.request_index) for r in requests]
     arrivals = sorted(range(n), key=arrival_key.__getitem__)
@@ -217,13 +209,13 @@ def simulate(
                 for edge, d in dependents[p]:
                     if status[d] is not None:
                         continue
-                    if eval_control_gate(edge, up_frame, seed):
+                    if eval_control_gate(edge, up_frame, stream.seed):
                         unresolved[d] -= 1
                     else:
                         model = requests[d].model
                         if pending.get(model) == d:
                             del pending[model]
-                        fail(d, UNTRIGGERED)
+                        status[d] = UNTRIGGERED
 
         # Arrivals supersede their model's waiting request (the drop rule).
         while cursor < n and arrival_us[cursor] == now:
@@ -233,14 +225,14 @@ def simulate(
             prev = pending.get(r.model)
             if prev is not None and requests[prev].request_index < r.request_index:
                 del pending[r.model]
-                fail(prev, DROPPED)
+                status[prev] = DROPPED
             if status[p] is None:
                 pending[r.model] = p
 
         # Free units, lowest rank first, take the policy's pick of the ready set.
         if not (free and pending):
             continue
-        ready = [p for p in pending.values() if not unresolved[p] and not blocked[p]]
+        ready = [p for p in pending.values() if not unresolved[p]]
         while ready and free:
             rank = free.pop(0)
             if policy == LATENCY_GREEDY:
@@ -262,7 +254,7 @@ def simulate(
     return EventLog(
         scenario=scenario.id,
         hardware=hw.id,
-        seed=seed,
+        seed=stream.seed,
         duration=stream.duration,
         requests=requests,
         unit=unit,

@@ -37,24 +37,21 @@ _EXP_CLAMP = 700.0
 
 @dataclass(frozen=True, kw_only=True)
 class ScoringConfig:
-    """Knobs of the scoring pipeline.
+    """The two parameters of the unit scores.
 
     `k` is the deadline sensitivity in 1/second; the sigmoid argument is
     taken in seconds. `e_max_mj` has no default: pass the cost table's
-    bound, so scores and costs agree on it.
+    bound, so scores and costs agree on it. Every score is in [0, 1].
     """
 
     k: float = 10.0
     e_max_mj: float
-    report_scale: str = "unit"
 
     def __post_init__(self) -> None:
         if not 0 <= self.k < math.inf:
             raise ScoringError("k must be finite and >= 0")
         if not 0 < self.e_max_mj < math.inf:
             raise ScoringError("e_max_mj must be finite and > 0")
-        if self.report_scale not in ("unit", "percent"):
-            raise ScoringError(f"unknown report_scale {self.report_scale!r}")
 
 
 def rt_score(latency_ms: float, slack_ms: float, k: float) -> float:
@@ -227,28 +224,22 @@ def build_report(
 
 
 def report_to_obj(report: ScoreReport) -> dict:
-    scale = 100.0 if report.config.report_scale == "percent" else 1.0
-
-    def s(x: float) -> float:
-        return x * scale
-
     return {
         "schema_version": SCHEMA_VERSION,
         "scoring_config": {
             "k": report.config.k,
             "e_max_mj": report.config.e_max_mj,
-            "report_scale": report.config.report_scale,
         },
         "scenarios": {
             sid: {
-                "scenario_score": s(srep.scenario_score),
+                "scenario_score": srep.scenario_score,
                 "models": {
                     mid: {
-                        "rt_mean": s(m.rt_mean),
-                        "en_mean": s(m.en_mean),
-                        "acc_mean": s(m.acc_mean),
-                        "model_score": s(m.model_score),
-                        "qoe": s(m.qoe),
+                        "rt_mean": m.rt_mean,
+                        "en_mean": m.en_mean,
+                        "acc_mean": m.acc_mean,
+                        "model_score": m.model_score,
+                        "qoe": m.qoe,
                         "n_total": m.n_total,
                         "n_processed": m.n_processed,
                         "n_dropped": m.n_dropped,
@@ -261,7 +252,7 @@ def report_to_obj(report: ScoreReport) -> dict:
             for sid, srep in report.scenarios.items()
         },
         "overall": {
-            "arithmetic": s(report.overall_arithmetic),
-            "geometric": s(report.overall_geometric),
+            "arithmetic": report.overall_arithmetic,
+            "geometric": report.overall_geometric,
         },
     }

@@ -21,7 +21,7 @@ The rules it implements:
 - Each dependency edge ties a downstream request to the upstream request
   at the latest frame not after its own frame (none if there is no such
   frame). When that upstream request ends, the edge fires with
-  `det_rand(seed, "gate:<edge>", upstream frame) < p` (always for p >= 1,
+  `det_rand(stream seed, "gate:<edge>", upstream frame) < p` (always for p >= 1,
   never for p <= 0). An edge that does not fire makes the downstream
   request untriggered at once. An upstream request that was dropped or
   untriggered means the downstream request can never run.
@@ -52,10 +52,8 @@ def _gate_fires(edge, upstream_frame: int, seed: int) -> bool:
     return det_rand(seed, f"gate:{edge.upstream}->{edge.downstream}", upstream_frame) < p
 
 
-def reference_simulate(scenario, stream, hw, costs, policy: str, seed: int | None = None) -> dict:
+def reference_simulate(scenario, stream, hw, costs, policy: str) -> dict:
     """Return {(model, request_index): (unit, t_start_us, t_end_us, status, energy_mj)}."""
-    if seed is None:
-        seed = stream.seed
     requests = list(stream.requests)
     key = lambda r: (r.model, r.request_index)
     units = sorted(u.id for u in hw.units)
@@ -130,7 +128,7 @@ def reference_simulate(scenario, stream, hw, costs, policy: str, seed: int | Non
                 for edge, anchor in anchors[key(r)]:
                     if key(anchor) != k or fate[key(r)] is not None:
                         continue
-                    if _gate_fires(edge, up.frame_index, seed):
+                    if _gate_fires(edge, up.frame_index, stream.seed):
                         fired.add((key(r), edge.key))
                     else:
                         fate[key(r)] = UNTRIGGERED

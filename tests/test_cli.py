@@ -7,7 +7,6 @@ from mmtsim import builtin_config, runtime
 from mmtsim.cli import main
 from mmtsim.costmodel import (
     CostTable,
-    dump_cost_table_file,
     preset_system,
     synthetic_table,
     system_to_obj,
@@ -43,7 +42,7 @@ def test_missing_cost_entry_is_reported(tmp_path, capsys):
         [e for e in table.entries() if e.model != "HT"], e_max_mj=table.e_max_mj
     )
     costs_path = tmp_path / "costs.json"
-    dump_cost_table_file(partial, costs_path)
+    costs_path.write_text(json.dumps(table_to_obj(partial)))
     code = main(
         ["run", "--scenario", "vr-gaming", "--hw", "preset:A", "--costs", str(costs_path), "--out", str(tmp_path / "o")]
     )
@@ -89,6 +88,22 @@ def test_validate_checks_the_schedules_of_the_valid_scenarios(tmp_path, capsys, 
     assert lines and all(line.startswith("vr-gaming: ") for line in lines)
     assert "exceeds" in lines[0]
     assert checked == [s["id"] for s in obj["scenarios"] if s["id"] != "vr-gaming"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--hw", "preset:J"], "--costs <file> or --synthetic"),
+        (["--synthetic"], "--hw is required"),
+        (["--costs", "missing.json"], "--hw is required"),
+    ],
+    ids=["hw-only", "synthetic-only", "costs-only"],
+)
+def test_validate_with_part_of_the_simulation_inputs_is_a_config_error(capsys, args, message):
+    assert main(["validate", *args]) == 2
+    captured = capsys.readouterr()
+    assert "ok" not in captured.out
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_export_suite_matches_builtin(tmp_path):
@@ -357,8 +372,15 @@ def test_non_finite_number_is_a_typed_error(tmp_path, capsys, case):
 
 @pytest.mark.parametrize(
     "argv",
-    [["score", "--scenario", "vr-gaming", "--log", "timeline.csv", "--emax", "1.0", "--seed", "3"], ["validate", "--k", "1"]],
-    ids=["score-seed", "validate-k"],
+    [
+        ["score", "--scenario", "vr-gaming", "--log", "timeline.csv", "--emax", "1.0", "--seed", "3"],
+        ["validate", "--k", "1"],
+        ["run", "--hw", "preset:J", "--synthetic", "--out", "o", "--scale", "percent"],
+        ["score", "--scenario", "vr-gaming", "--log", "timeline.csv", "--emax", "1.0", "--scale", "percent"],
+        ["run", "--hw", "preset:J", "--synthetic", "--out", "o", "--efficiency", "0.5"],
+        ["validate", "--hw", "preset:J", "--synthetic", "--efficiency", "0.5"],
+    ],
+    ids=["score-seed", "validate-k", "run-scale", "score-scale", "run-efficiency", "validate-efficiency"],
 )
 def test_an_option_the_subcommand_ignores_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:

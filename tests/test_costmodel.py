@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -5,13 +6,12 @@ import pytest
 from mmtsim import ConfigError, CostEntry, CostTable, HardwareSystem, HardwareUnit, UnitModel
 from mmtsim.costmodel import (
     ACCELERATOR_PRESETS,
-    dump_cost_table_file,
-    dump_hardware_file,
     load_cost_table_file,
     load_hardware_file,
     preset_system,
     synthetic_cost,
-    synthetic_table,
+    system_to_obj,
+    table_to_obj,
 )
 
 
@@ -45,15 +45,9 @@ def test_energy_above_emax_rejected_at_load():
 
 
 def test_synthetic_roofline_value():
-    entry = synthetic_cost(MODEL, UNIT, efficiency=1.0)
+    entry = synthetic_cost(MODEL, UNIT)
     assert entry.latency_ms == pytest.approx(0.1220703125)
     assert entry.energy_mj == pytest.approx(entry.latency_ms * 1.0)
-
-
-def test_synthetic_efficiency_inverse():
-    full = synthetic_cost(MODEL, UNIT, efficiency=1.0)
-    half = synthetic_cost(MODEL, UNIT, efficiency=0.5)
-    assert half.latency_ms == pytest.approx(2 * full.latency_ms)
 
 
 def test_synthetic_energy_is_power_times_latency():
@@ -101,23 +95,15 @@ def test_fda_with_two_units_rejected():
         HardwareSystem(id="x", style="FDA", units=units)
 
 
-def test_synthetic_table_efficiency_map():
-    hw = preset_system("J")
-    table = synthetic_table({"HT": MODEL}, hw, e_max_mj=100.0, efficiency={"WS": 0.5, "OS:HT": 0.25})
-    ws, os_ = hw.units
-    assert table.lookup("HT", ws.id).latency_ms == pytest.approx(2 * synthetic_cost(MODEL, ws).latency_ms)
-    assert table.lookup("HT", os_.id).latency_ms == pytest.approx(4 * synthetic_cost(MODEL, os_).latency_ms)
-
-
 def test_file_roundtrips(tmp_path):
     hw = preset_system("M", total_pes=8192)
     hw_path = tmp_path / "hw.json"
-    dump_hardware_file(hw, hw_path)
+    hw_path.write_text(json.dumps(system_to_obj(hw)))
     assert load_hardware_file(hw_path) == hw
 
     table = _table()
     table_path = tmp_path / "costs.json"
-    dump_cost_table_file(table, table_path)
+    table_path.write_text(json.dumps(table_to_obj(table)))
     back = load_cost_table_file(table_path)
     assert back.e_max_mj == table.e_max_mj
     assert back.entries() == table.entries()

@@ -54,7 +54,7 @@ GOLDEN = {
 
 # SHA-256 of json.dumps(report_to_obj(build_report(...)), indent=2) for the
 # logs above, k = 10 and the cost table's e_max_mj
-GOLDEN_REPORT = "f6628d81dffc9ad470b75e7273b5d4af53c1aa90e6cd5550e649cb6f66738086"
+GOLDEN_REPORT = "7de75340b89e739ca282f9a559400f20d6643e3af70d79b47dbc8045870d60b1"
 
 
 def _sha256(text: str) -> str:

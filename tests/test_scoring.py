@@ -176,7 +176,7 @@ def test_scores_reduce_to_qoe_when_everything_else_is_perfect():
     hw = preset_system("A")
     scenario = config.suite.scenario("vr-gaming")
     stream = generate_requests(scenario, config.sources, config.models, 1.0, seed=0)
-    costs = synthetic_table(config.models, hw, e_max_mj=1.0, efficiency=1.0)
+    costs = synthetic_table(config.models, hw, e_max_mj=1.0)
     # rebuild with zero energy by zeroing unit power
     from mmtsim.costmodel import CostEntry, CostTable
 
