@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from mmtsim import ConfigError, InputSource, ScenarioEntry, UnitModel, UsageScenario
 from mmtsim.loadgen import (
+    InferenceRequest,
     deadline,
     det_rand,
     generate_requests,
@@ -91,6 +92,16 @@ def test_social_interaction_a_request_counts():
     scenario = config.suite.scenario("social-interaction-a")
     stream = generate_requests(scenario, config.sources, config.models, 1.0, seed=0)
     assert {m: len(stream.by_model(m)) for m in scenario.model_ids} == {"HT": 30, "ES": 60, "GE": 60, "DR": 30}
+
+
+def test_inference_request_is_an_immutable_value():
+    r = InferenceRequest("HT", 4, 2, 66_667, 100_000)
+    with pytest.raises(AttributeError):
+        r.t_req_us = 0
+    twin = InferenceRequest(model="HT", frame_index=4, request_index=2, t_req_us=66_667, t_dl_us=100_000)
+    assert r == twin and hash(r) == hash(twin)
+    assert r != InferenceRequest("HT", 4, 2, 66_667, 100_001)
+    assert (r.t_req_ms, r.t_dl_ms, r.t_slack_us) == (66.667, 100.0, 33_333)
 
 
 def test_multi_modal_request_time_is_max_over_sources():
