@@ -10,8 +10,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from statistics import NormalDist
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ConfigError
 from .workload import InputSource, ScenarioEntry, UnitModel, UsageScenario, validate_scenario
@@ -75,8 +76,7 @@ def deadline(entry: ScenarioEntry, request_index: int, init_latency_ms: float = 
     return _deadline_us(entry.target_rate, request_index, init_latency_ms) / US_PER_MS
 
 
-@dataclass(frozen=True)
-class InferenceRequest:
+class InferenceRequest(NamedTuple):
     """One (model, frame) inference request with its timing."""
 
     model: str
@@ -172,15 +172,7 @@ def generate_requests(
                 times.append(t)
             t_req = max(times)
             t_dl = _deadline_us(entry.target_rate, k, init_ms)
-            requests.append(
-                InferenceRequest(
-                    model=entry.model,
-                    frame_index=frame,
-                    request_index=k,
-                    t_req_us=t_req,
-                    t_dl_us=t_dl,
-                )
-            )
-    requests.sort(key=lambda r: (r.t_req_us, r.model, r.frame_index))
+            requests.append(InferenceRequest(entry.model, frame, k, t_req, t_dl))
+    requests.sort(key=itemgetter(3, 0, 1))  # (t_req_us, model, frame_index)
     return RequestStream(scenario=scenario.id, duration=duration, seed=seed, requests=tuple(requests))
 

@@ -20,6 +20,10 @@ per unit: the unit takes the first ready model after its previous pick in
 the scenario's model order, wrapping around.
 
 State: per-request state lives in flat lists indexed by stream position.
+The request fields the loop reads are copied into such columns once,
+`model_of`, `index_of` and `dl_of` (each position's model, request index
+and deadline): the event loop, the drop rule and both policies read these,
+not the requests' attributes.
 A request's status is set exactly once, when it launches (completed) or
 fails (dropped or untriggered); requests still waiting when the stream
 runs out are dropped. A failed anchor never completes, so its edges never
@@ -96,9 +100,10 @@ class EventLog:
         self.positions = {}
         for p, r in enumerate(requests):
             self.positions.setdefault(r.model, []).append(p)
+        request_index = [r.request_index for r in requests]
         self.counts = {}
         for m, ps in self.positions.items():
-            ps.sort(key=lambda p: requests[p].request_index)
+            ps.sort(key=request_index.__getitem__)
             statuses = [status[p] for p in ps]
             self.counts[m] = ModelCounts(
                 n_total=len(ps),
@@ -188,6 +193,9 @@ def simulate(
                 unresolved[p] += 1
 
     arrival_key = [(r.t_req_us, r.model, r.request_index) for r in requests]
+    model_of = [r.model for r in requests]
+    index_of = [r.request_index for r in requests]
+    dl_of = [r.t_dl_us for r in requests]
     arrivals = sorted(range(n), key=arrival_key.__getitem__)
     arrival_us = [requests[p].t_req_us for p in arrivals]
     completions: list[tuple[int, int, int]] = []  # (t_end_us, unit rank, position)
@@ -212,7 +220,7 @@ def simulate(
                     if eval_control_gate(edge, up_frame, stream.seed):
                         unresolved[d] -= 1
                     else:
-                        model = requests[d].model
+                        model = model_of[d]
                         if pending.get(model) == d:
                             del pending[model]
                         status[d] = UNTRIGGERED
@@ -221,13 +229,13 @@ def simulate(
         while cursor < n and arrival_us[cursor] == now:
             p = arrivals[cursor]
             cursor += 1
-            r = requests[p]
-            prev = pending.get(r.model)
-            if prev is not None and requests[prev].request_index < r.request_index:
-                del pending[r.model]
+            model = model_of[p]
+            prev = pending.get(model)
+            if prev is not None and index_of[prev] < index_of[p]:
+                del pending[model]
                 status[prev] = DROPPED
             if status[p] is None:
-                pending[r.model] = p
+                pending[model] = p
 
         # Free units, lowest rank first, take the policy's pick of the ready set.
         if not (free and pending):
@@ -236,12 +244,12 @@ def simulate(
         while ready and free:
             rank = free.pop(0)
             if policy == LATENCY_GREEDY:
-                p = min(ready, key=lambda q: (lat_ms[requests[q].model][rank], requests[q].t_dl_us, requests[q].model))
+                p = min(ready, key=lambda q: (lat_ms[model_of[q]][rank], dl_of[q], model_of[q]))
             else:
-                p = min(ready, key=lambda q: (order[requests[q].model] - last[rank] - 1) % len(order))
-                last[rank] = order[requests[p].model]
+                p = min(ready, key=lambda q: (order[model_of[q]] - last[rank] - 1) % len(order))
+                last[rank] = order[model_of[p]]
             ready.remove(p)
-            model = requests[p].model
+            model = model_of[p]
             del pending[model]
             status[p] = COMPLETED
             unit[p] = unit_ids[rank]
@@ -324,10 +332,6 @@ def _ms(t_us: int | None) -> float | None:
     return None if t_us is None else t_us / US_PER_MS
 
 
-def _us(field_ms: str) -> int:
-    return round(float(field_ms) * US_PER_MS)
-
-
 def log_to_csv(log: EventLog, fh) -> None:
     """One row per request in stream order; csv writes a float as its repr()
     and None as an empty field."""
@@ -364,13 +368,14 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
             if st == COMPLETED and not (u and t_start and t_end):
                 raise ValueError("a completed request needs a unit, a start and an end")
             r = InferenceRequest(
-                model=model,
-                frame_index=int(frame_index),
-                request_index=int(request_index),
-                t_req_us=_us(t_req),
-                t_dl_us=_us(t_dl),
+                model,
+                int(frame_index),
+                int(request_index),
+                round(float(t_req) * US_PER_MS),
+                round(float(t_dl) * US_PER_MS),
             )
-            start, end = (_us(t_start) if t_start else None), (_us(t_end) if t_end else None)
+            start = round(float(t_start) * US_PER_MS) if t_start else None
+            end = round(float(t_end) * US_PER_MS) if t_end else None
             if st == COMPLETED and not r.t_req_us <= start <= end:
                 raise ValueError("a completed request needs t_req_ms <= t_start_ms <= t_end_ms")
             requests.append(r)
