@@ -38,6 +38,7 @@ from __future__ import annotations
 import csv
 import heapq
 from bisect import bisect_right, insort
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -386,6 +387,10 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
             energy_mj.append(float(energy))
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"timeline CSV line {reader.line_num}: {exc}") from None
+    model_and_index = itemgetter(0, 2)
+    if len(set(map(model_and_index, requests))) < len(requests):
+        model, index = next(k for k, n in Counter(map(model_and_index, requests)).items() if n > 1)
+        raise ConfigError(f"timeline CSV has more than one row for {model} request_index {index}")
     return EventLog(
         scenario=scenario,
         hardware="",

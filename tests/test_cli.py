@@ -250,6 +250,13 @@ def test_malformed_json_file_is_a_config_error(tmp_path, capsys, flag):
             "HT,1,2,u0-ws,33.3,33.2,34.0,55.5,completed,0.1\n",
             "line 3: a completed request needs t_req_ms <= t_start_ms <= t_end_ms",
         ),
+        (
+            "model,request_index,frame_index,unit,t_req_ms,t_start_ms,t_end_ms,t_dl_ms,status,energy_mj\n"
+            "ES,0,0,u0-ws,0.0,1.0,2.0,16.7,completed,0.1\n"
+            "HT,0,0,u0-ws,0.0,2.0,3.0,33.3,completed,0.1\n"
+            "ES,0,0,u0-ws,0.0,1.0,2.0,16.7,completed,0.1\n",
+            "timeline CSV has more than one row for ES request_index 0",
+        ),
     ],
     ids=[
         "missing-column",
@@ -258,6 +265,7 @@ def test_malformed_json_file_is_a_config_error(tmp_path, capsys, flag):
         "unknown-status",
         "end-before-request",
         "start-before-request",
+        "repeated-row",
     ],
 )
 def test_malformed_timeline_csv_is_a_config_error(tmp_path, capsys, text, message):
