@@ -36,7 +36,7 @@ for entry in sorted(log.entries, key=lambda e: (e.request.t_req_us, e.request.mo
     unit = entry.unit or ""
     print(f"{r.t_req_ms:8.3f} {r.model:>5s} {r.frame_index:5d} {unit:>7s} {start} {end}  {entry.status}")
 
-ht_frames = [r.frame_index for r in stream.by_model("HT")][:8]
+ht_frames = [r.frame_index for r in stream.requests if r.model == "HT"][:8]
 print(f"\nHT frames (every other camera frame): {ht_frames}...")
 es_end = {e.request.frame_index: e.t_end_us for e in log.by_model("ES")}
 ok = all(e.t_start_us >= es_end[e.request.frame_index] for e in log.by_model("GE"))

@@ -107,9 +107,6 @@ class RequestStream:
     seed: int
     requests: tuple[InferenceRequest, ...]
 
-    def by_model(self, model: str) -> list[InferenceRequest]:
-        return [r for r in self.requests if r.model == model]
-
 
 def select_frames(target_rate: float, streaming_rate: float, count: int) -> list[int]:
     """The first `count` source frames a model samples, via a rate accumulator.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from mmtsim import InputSource, ScenarioEntry, UnitModel, UsageScenario
@@ -110,7 +111,8 @@ def test_generate_requests_matches_the_naive_reference():
         rows, counts = reference_requests(scenario, sources, models, duration, seed)
         got = [(r.model, r.frame_index, r.request_index, r.t_req_us, r.t_dl_us) for r in stream.requests]
         assert got == rows, scenario
-        assert {m: len(stream.by_model(m)) for m in scenario.model_ids} == counts
+        per_model = Counter(r.model for r in stream.requests)
+        assert {m: per_model[m] for m in scenario.model_ids} == counts
         negative += sum(row[3] < 0 for row in rows)
         for entry in scenario.entries:
             srcs = [sources[s] for s in models[entry.model].input_sources]
