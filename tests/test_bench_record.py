@@ -1,0 +1,47 @@
+"""The BENCH collector's parsing and summary, on the output format of perfbench/run.py."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_record", Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+
+def _stdout(wall_s: float) -> str:
+    result = {
+        "correct": True,
+        "attempted": 24,
+        "failed": 0,
+        "metrics": {"wall_s": {"value": wall_s, "unit": "s"}, "peak_rss_mib": {"value": 40.0, "unit": "MiB"}},
+    }
+    return (
+        "perfbench workload=suite-cli seed=7 seconds=25 trace=0 python=3.11.7 nproc=2 processes=1 threads=1\n"
+        "outputs sha256=abc jobs=8 passes=20\n"
+        "pass_s host=1.0 at_reference_speed=1.0\n"
+        "counts vr-gaming: requests=9900 completed=9900 dropped=0 untriggered=0\n"
+        f"metric wall_s = {wall_s!r} s (n=20)\n"
+        f"{json.dumps(result)}\n"
+    )
+
+
+def test_the_result_and_the_digest_lines_are_read_from_a_run():
+    stdout = _stdout(1.25)
+    assert bench_record.result_of(stdout)["metrics"]["wall_s"]["value"] == 1.25
+    assert bench_record.digest_lines(stdout) == [
+        "outputs sha256=abc jobs=8 passes=20",
+        "counts vr-gaming: requests=9900 completed=9900 dropped=0 untriggered=0",
+    ]
+
+
+def test_each_metric_is_summarized_by_its_median_and_iqr():
+    runs = [bench_record.result_of(_stdout(w)) for w in (1.4, 1.0, 1.2, 1.1, 1.3)]
+    wall = bench_record.summarize(runs)["wall_s"]
+    assert wall["median"] == pytest.approx(1.2)
+    assert wall["iqr"] == pytest.approx(1.3 - 1.1)
+    assert wall["values"] == [1.4, 1.0, 1.2, 1.1, 1.3] and wall["unit"] == "s"
