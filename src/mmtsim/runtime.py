@@ -20,10 +20,11 @@ per unit: the unit takes the first ready model after its previous pick in
 the scenario's model order, wrapping around.
 
 State: per-request state lives in flat lists indexed by stream position.
-The request fields the loop reads are copied into such columns once,
-`model_of`, `index_of` and `dl_of` (each position's model, request index
-and deadline): the event loop, the drop rule and both policies read these,
-not the requests' attributes.
+The request fields the loop reads are copied into such columns once:
+`model_of`, `index_of`, `req_of` and `dl_of` hold each position's model,
+request index, request time and deadline. The arrival order, the event
+loop, the drop rule and both policies read these, not the requests'
+attributes.
 A request's status is set exactly once, when it launches (completed) or
 fails (dropped or untriggered); requests still waiting when the stream
 runs out are dropped. A failed anchor never completes, so its edges never
@@ -193,12 +194,13 @@ def simulate(
                 dependents.setdefault(up_by_index[k], []).append((edge, p))
                 unresolved[p] += 1
 
-    arrival_key = [(r.t_req_us, r.model, r.request_index) for r in requests]
     model_of = [r.model for r in requests]
     index_of = [r.request_index for r in requests]
+    req_of = [r.t_req_us for r in requests]
     dl_of = [r.t_dl_us for r in requests]
+    arrival_key = list(zip(req_of, model_of, index_of))
     arrivals = sorted(range(n), key=arrival_key.__getitem__)
-    arrival_us = [requests[p].t_req_us for p in arrivals]
+    arrival_us = [req_of[p] for p in arrivals]
     completions: list[tuple[int, int, int]] = []  # (t_end_us, unit rank, position)
     free = list(range(len(units)))  # ranks of idle units, ascending
     pending: dict[str, int] = {}  # model -> its arrived, waiting request
