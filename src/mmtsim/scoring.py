@@ -139,8 +139,8 @@ def model_report(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> ModelRe
     for p in log.positions.get(model.id, ()):  # ascending request index
         if log.status[p] != COMPLETED:
             continue
-        r = log.requests[p]
-        rt = rt_score((log.t_end_us[p] - r.t_req_us) / 1000.0, r.t_slack_us / 1000.0, cfg.k)
+        _, _, _, t_req_us, t_dl_us = log.requests[p]  # unpacked: cheaper than named-tuple attributes
+        rt = rt_score((log.t_end_us[p] - t_req_us) / 1000.0, (t_dl_us - t_req_us) / 1000.0, cfg.k)
         en = energy_score(log.energy_mj[p], cfg.e_max_mj)
         rt_sum += rt
         en_sum += en
