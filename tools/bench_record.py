@@ -42,8 +42,8 @@ DIGEST_SEED = 7
 
 def run_perfbench(workload: str, seed: int, trace: int) -> str:
     """The standard output of one perfbench run; a failed run raises."""
-    cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS)]
-    cmd += ["--trace", str(trace)]
+    cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}: {done.stderr.strip()}")
