@@ -1,12 +1,14 @@
 """simulate() must reproduce the naive reference dispatcher's timeline exactly."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from mmtsim import builtin_config, generate_requests, simulate, synthetic_table
 from mmtsim.costmodel import preset_system
-from mmtsim.runtime import DROPPED, LATENCY_GREEDY, ROUND_ROBIN
+from mmtsim.runtime import DROPPED, LATENCY_GREEDY, ROUND_ROBIN, UNTRIGGERED
+from mmtsim.workload import UsageScenario, with_edge_probability
 
 from fuzzing import random_setup
 from reference_sim import reference_simulate
@@ -55,3 +57,40 @@ def test_builtin_suite_on_small_preset_matches_reference(preset, policy):
         log = _assert_same(scenario, stream, hw, costs, policy)
         dropped += sum(e.status == DROPPED for e in log.entries)
     assert dropped > 0  # the drop rule must actually be exercised
+
+
+def test_reused_streams_match_reference():
+    # simulate keeps a plan on each stream; every run after the first reuses it
+    config = builtin_config()
+    streams = {s.id: generate_requests(s, config.sources, config.models, 1.0, seed=7) for s in config.suite.scenarios}
+    for preset in ("G", "L", "A"):
+        hw = preset_system(preset, total_pes=96)
+        costs = synthetic_table(config.models, hw)
+        for policy in POLICIES:
+            for scenario in config.suite.scenarios:
+                _assert_same(scenario, streams[scenario.id], hw, costs, policy)
+
+
+def test_reused_stream_follows_each_scenarios_edges():
+    # one stream under its scenario, the same edge shape at another
+    # probability, another edge shape, then its scenario again
+    config = builtin_config()
+    scenario = config.suite.scenario("ar-assistant")  # KD->SR gates at 0.5
+    never = with_edge_probability(scenario, "KD", "SR", 0.0)
+    ungated = UsageScenario(
+        id=scenario.id, entries=tuple(replace(e, dependencies=()) if e.model == "SR" else e for e in scenario.entries)
+    )
+    hw = preset_system("G", total_pes=96)
+    costs = synthetic_table(config.models, hw)
+
+    def fresh_stream():
+        return generate_requests(scenario, config.sources, config.models, 1.0, seed=7)
+
+    stream = fresh_stream()
+    untriggered = []
+    for variant in (scenario, never, ungated, scenario):
+        got = _timeline(simulate(variant, stream, hw, costs))
+        assert got == _timeline(simulate(variant, fresh_stream(), hw, costs))
+        assert got == reference_simulate(variant, fresh_stream(), hw, costs, LATENCY_GREEDY)
+        untriggered.append(sum(status == UNTRIGGERED for *_, status, _ in got.values()))
+    assert untriggered[0] == untriggered[3] and 0 == untriggered[2] < untriggered[0] < untriggered[1]
