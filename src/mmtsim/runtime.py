@@ -390,9 +390,14 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"timeline CSV line {reader.line_num}: {exc}") from None
     model_and_index = itemgetter(0, 2)
-    if len(set(map(model_and_index, requests))) < len(requests):
+    keys = set(map(model_and_index, requests))
+    if len(keys) < len(requests):
         model, index = next(k for k, n in Counter(map(model_and_index, requests)).items() if n > 1)
         raise ConfigError(f"timeline CSV has more than one row for {model} request_index {index}")
+    for model, n in Counter(map(itemgetter(0), requests)).items():  # each model's indices must be 0..n-1
+        index = next((i for i in range(n) if (model, i) not in keys), None)
+        if index is not None:
+            raise ConfigError(f"timeline CSV has no row for {model} request_index {index}")
     return EventLog(
         scenario=scenario,
         hardware="",

@@ -257,6 +257,13 @@ def test_malformed_json_file_is_a_config_error(tmp_path, capsys, flag):
             "ES,0,0,u0-ws,0.0,1.0,2.0,16.7,completed,0.1\n",
             "timeline CSV has more than one row for ES request_index 0",
         ),
+        (
+            "model,request_index,frame_index,unit,t_req_ms,t_start_ms,t_end_ms,t_dl_ms,status,energy_mj\n"
+            "ES,0,0,u0-ws,0.0,1.0,2.0,16.7,completed,0.1\n"
+            "HT,0,0,u0-ws,0.0,2.0,3.0,33.3,completed,0.1\n"
+            "ES,2,2,u0-ws,33.3,34.0,35.0,50.0,completed,0.1\n",
+            "timeline CSV has no row for ES request_index 1",
+        ),
     ],
     ids=[
         "missing-column",
@@ -266,6 +273,7 @@ def test_malformed_json_file_is_a_config_error(tmp_path, capsys, flag):
         "end-before-request",
         "start-before-request",
         "repeated-row",
+        "missing-row",
     ],
 )
 def test_malformed_timeline_csv_is_a_config_error(tmp_path, capsys, text, message):
