@@ -17,21 +17,27 @@ one waiting), so a policy picks among models. "latency-greedy" takes the
 request with the lowest cost-table latency on the freeing unit, then the
 earliest deadline, then the lowest model id. "round-robin" keeps one cursor
 per unit: the unit takes the first ready model after its previous pick in
-the scenario's model order, wrapping around.
+the scenario's model order, wrapping around. A lone ready request is taken
+without comparing (round-robin still moves the unit's cursor to it).
 
 State: per-request state lives in flat lists indexed by stream position.
-The request fields the loop reads are copied into such columns once:
-`model_of`, `index_of`, `req_of` and `dl_of` hold each position's model,
-request index, request time and deadline. The arrival order, the event
-loop, the drop rule and both policies read these, not the requests'
-attributes.
+What depends on the stream alone comes from a per-stream plan, built once
+per edge shape (the scenario's (downstream, upstream) model pairs) and kept
+on the stream: the columns `model_of`, `index_of` and `dl_of` (each
+position's model, request index and deadline), the arrival order and the
+dependency anchors. Anchors name edges by number, so each run gates with its
+own scenario's edges. The event loop, the drop rule and both policies read
+the columns, not the requests' attributes; a run copies the plan's counts of
+unresolved dependencies and changes nothing else in it.
 A request's status is set exactly once, when it launches (completed) or
 fails (dropped or untriggered); requests still waiting when the stream
 runs out are dropped. A failed anchor never completes, so its edges never
 fire and its dependents never launch.
 
-A single simulation is strictly single-threaded and deterministic; multiple
-simulations can run concurrently since all inputs are immutable.
+A single simulation is strictly single-threaded and deterministic. Multiple
+simulations can run concurrently: the inputs are immutable but for the
+stream's plan memo, which concurrent first runs may each fill with equal
+plans, which is harmless.
 """
 
 from __future__ import annotations
@@ -139,6 +145,60 @@ def eval_control_gate(edge: DependencyEdge, upstream_frame: int, seed: int) -> b
     return det_rand(seed, f"gate:{edge.key}", upstream_frame) < edge.trigger_probability
 
 
+class _Plan(NamedTuple):
+    """What `simulate` derives from a stream and its scenario's edge shape
+    alone, indexed by stream position; `simulate` copies `unresolved` and
+    reads the rest."""
+
+    model_of: list[str]
+    index_of: list[int]
+    dl_of: list[int]
+    arrivals: list[int]  # positions by (request time, model, request index)
+    arrival_us: list[int]  # request time of each position in `arrivals`
+    dependents: dict[int, list[tuple[int, int]]]  # anchor -> (edge number, downstream)
+    unresolved: list[int]  # anchored dependencies
+
+
+def _plan(stream: RequestStream, pairs: tuple[tuple[str, str], ...]) -> _Plan:
+    """The stream's plan for the edges `pairs`, a (downstream model, upstream
+    model) pair per edge in the scenario's entry order. Built on first use
+    and kept in the stream's memo, so scenarios whose edges differ only in
+    trigger probability share it."""
+    plan = stream._plans.get(pairs)
+    if plan is not None:
+        return plan
+    requests = stream.requests
+    n = len(requests)
+    model_of = [r.model for r in requests]
+    index_of = [r.request_index for r in requests]
+    req_of = [r.t_req_us for r in requests]
+    dl_of = [r.t_dl_us for r in requests]
+    arrival_key = list(zip(req_of, model_of, index_of))
+    arrivals = sorted(range(n), key=arrival_key.__getitem__)
+    arrival_us = [req_of[p] for p in arrivals]
+
+    # Anchor each dependency edge of a request to the latest upstream request
+    # whose frame does not exceed the downstream frame.
+    dependents: dict[int, list[tuple[int, int]]] = {}
+    unresolved = [0] * n
+    if pairs:
+        by_model: dict[str, list[int]] = {}
+        for p, model in enumerate(model_of):
+            by_model.setdefault(model, []).append(p)
+        for e, (model_id, upstream) in enumerate(pairs):
+            ups = by_model.get(upstream, [])
+            up_frames = sorted(requests[q].frame_index for q in ups)
+            up_by_index = {index_of[q]: q for q in ups}
+            for p in by_model.get(model_id, ()):
+                k = bisect_right(up_frames, requests[p].frame_index) - 1
+                if k < 0:
+                    continue  # no upstream frame precedes; nothing to wait on
+                dependents.setdefault(up_by_index[k], []).append((e, p))
+                unresolved[p] += 1
+    plan = stream._plans[pairs] = _Plan(model_of, index_of, dl_of, arrivals, arrival_us, dependents, unresolved)
+    return plan
+
+
 def simulate(
     scenario: UsageScenario,
     stream: RequestStream,
@@ -166,41 +226,18 @@ def simulate(
 
     requests = stream.requests
     n = len(requests)
+    edges = [edge for entry in scenario.entries for edge in entry.dependencies]
+    pairs = tuple((entry.model, edge.upstream) for entry in scenario.entries for edge in entry.dependencies)
+    model_of, index_of, dl_of, arrivals, arrival_us, dependents, anchored = _plan(stream, pairs)
+    unresolved = anchored.copy()  # anchored dependencies not yet fired true
 
-    # Request state, indexed by stream position; the first five lists are the log's columns.
+    # Request state, indexed by stream position; these five lists are the log's columns.
     status: list[str | None] = [None] * n  # set once: launched (COMPLETED) or failed
     unit: list[str | None] = [None] * n
     t_start_us: list[int | None] = [None] * n
     t_end_us: list[int | None] = [None] * n
     energy_mj = [0.0] * n
-    unresolved = [0] * n  # anchored dependencies not yet fired true
-    dependents: dict[int, list[tuple[DependencyEdge, int]]] = {}  # anchor -> (edge, downstream)
 
-    # Anchor each dependency edge of a request to the latest upstream request
-    # whose frame does not exceed the downstream frame.
-    edges = [(entry.model, edge) for entry in scenario.entries for edge in entry.dependencies]
-    if edges:
-        by_model: dict[str, list[int]] = {}
-        for p, r in enumerate(requests):
-            by_model.setdefault(r.model, []).append(p)
-        for model_id, edge in edges:
-            ups = by_model.get(edge.upstream, [])
-            up_frames = sorted(requests[q].frame_index for q in ups)
-            up_by_index = {requests[q].request_index: q for q in ups}
-            for p in by_model.get(model_id, ()):
-                k = bisect_right(up_frames, requests[p].frame_index) - 1
-                if k < 0:
-                    continue  # no upstream frame precedes; nothing to wait on
-                dependents.setdefault(up_by_index[k], []).append((edge, p))
-                unresolved[p] += 1
-
-    model_of = [r.model for r in requests]
-    index_of = [r.request_index for r in requests]
-    req_of = [r.t_req_us for r in requests]
-    dl_of = [r.t_dl_us for r in requests]
-    arrival_key = list(zip(req_of, model_of, index_of))
-    arrivals = sorted(range(n), key=arrival_key.__getitem__)
-    arrival_us = [req_of[p] for p in arrivals]
     completions: list[tuple[int, int, int]] = []  # (t_end_us, unit rank, position)
     free = list(range(len(units)))  # ranks of idle units, ascending
     pending: dict[str, int] = {}  # model -> its arrived, waiting request
@@ -217,10 +254,10 @@ def simulate(
             insort(free, rank)
             if p in dependents:
                 up_frame = requests[p].frame_index
-                for edge, d in dependents[p]:
+                for e, d in dependents[p]:
                     if status[d] is not None:
                         continue
-                    if eval_control_gate(edge, up_frame, stream.seed):
+                    if eval_control_gate(edges[e], up_frame, stream.seed):
                         unresolved[d] -= 1
                     else:
                         model = model_of[d]
@@ -246,10 +283,13 @@ def simulate(
         ready = [p for p in pending.values() if not unresolved[p]]
         while ready and free:
             rank = free.pop(0)
-            if policy == LATENCY_GREEDY:
+            if len(ready) == 1:
+                p = ready[0]
+            elif policy == LATENCY_GREEDY:
                 p = min(ready, key=lambda q: (lat_ms[model_of[q]][rank], dl_of[q], model_of[q]))
             else:
                 p = min(ready, key=lambda q: (order[model_of[q]] - last[rank] - 1) % len(order))
+            if policy == ROUND_ROBIN:
                 last[rank] = order[model_of[p]]
             ready.remove(p)
             model = model_of[p]

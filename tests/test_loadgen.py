@@ -1,9 +1,11 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmtsim import ConfigError, InputSource, ScenarioEntry, UnitModel, UsageScenario
+from mmtsim import ConfigError, InputSource, ScenarioEntry, UnitModel, UsageScenario, simulate, synthetic_table
+from mmtsim.costmodel import preset_system
 from mmtsim.loadgen import (
     InferenceRequest,
     deadline,
@@ -105,6 +107,22 @@ def test_inference_request_is_an_immutable_value():
     assert r == twin and hash(r) == hash(twin)
     assert r != InferenceRequest("HT", 4, 2, 66_667, 100_001)
     assert (r.t_req_ms, r.t_dl_ms, r.t_slack_us) == (66.667, 100.0, 33_333)
+
+
+def test_a_simulated_stream_stays_an_equal_value():
+    # simulate keeps a per-stream plan on the stream; it must not show in the stream's value
+    config = builtin_config()
+    scenario = config.suite.scenario("outdoor-activity-a")
+    stream = generate_requests(scenario, config.sources, config.models, 1.0, seed=7)
+    twin = generate_requests(scenario, config.sources, config.models, 1.0, seed=7)
+    before = repr(stream)
+    hw = preset_system("J")
+    simulate(scenario, stream, hw, synthetic_table(config.models, hw))
+    assert stream._plans  # the memo was filled
+    assert stream == twin and hash(stream) == hash(twin)
+    assert repr(stream) == repr(twin) == before
+    copy = replace(stream)
+    assert copy == stream and copy._plans == {}
 
 
 def test_multi_modal_request_time_is_max_over_sources():
