@@ -388,6 +388,19 @@ def log_to_csv(log: EventLog, fh) -> None:
     )
 
 
+def _check_request_indices(requests: list[InferenceRequest]) -> None:
+    """A timeline has one row for each of a model's request indices 0..n-1."""
+    model_and_index = itemgetter(0, 2)
+    keys = set(map(model_and_index, requests))
+    if len(keys) < len(requests):
+        model, index = next(k for k, n in Counter(map(model_and_index, requests)).items() if n > 1)
+        raise ConfigError(f"timeline CSV has more than one row for {model} request_index {index}")
+    for model, n in Counter(map(itemgetter(0), requests)).items():
+        index = next((i for i in range(n) if (model, i) not in keys), None)
+        if index is not None:
+            raise ConfigError(f"timeline CSV has no row for {model} request_index {index}")
+
+
 def log_from_csv(fh, scenario: str = "") -> EventLog:
     """Read a timeline written by `log_to_csv`, its columns in any order and
     blank lines skipped; a malformed one is a ConfigError naming its line.
@@ -429,15 +442,7 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
             energy_mj.append(float(energy))
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"timeline CSV line {reader.line_num}: {exc}") from None
-    model_and_index = itemgetter(0, 2)
-    keys = set(map(model_and_index, requests))
-    if len(keys) < len(requests):
-        model, index = next(k for k, n in Counter(map(model_and_index, requests)).items() if n > 1)
-        raise ConfigError(f"timeline CSV has more than one row for {model} request_index {index}")
-    for model, n in Counter(map(itemgetter(0), requests)).items():  # each model's indices must be 0..n-1
-        index = next((i for i in range(n) if (model, i) not in keys), None)
-        if index is not None:
-            raise ConfigError(f"timeline CSV has no row for {model} request_index {index}")
+    _check_request_indices(requests)
     return EventLog(
         scenario=scenario,
         hardware="",
