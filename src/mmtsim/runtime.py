@@ -226,17 +226,20 @@ def simulate(
 
     requests = stream.requests
     n = len(requests)
-    edges = [edge for entry in scenario.entries for edge in entry.dependencies]
-    pairs = tuple((entry.model, edge.upstream) for entry in scenario.entries for edge in entry.dependencies)
-    model_of, index_of, dl_of, arrivals, arrival_us, dependents, anchored = _plan(stream, pairs)
-    unresolved = anchored.copy()  # anchored dependencies not yet fired true
 
-    # Request state, indexed by stream position; these five lists are the log's columns.
+    # Request state, indexed by stream position; these five lists are the log's
+    # columns. They are allocated before a first run builds the stream's plan,
+    # whose temporaries would otherwise leave holes that raise the peak RSS.
     status: list[str | None] = [None] * n  # set once: launched (COMPLETED) or failed
     unit: list[str | None] = [None] * n
     t_start_us: list[int | None] = [None] * n
     t_end_us: list[int | None] = [None] * n
     energy_mj = [0.0] * n
+
+    edges = [edge for entry in scenario.entries for edge in entry.dependencies]
+    pairs = tuple((entry.model, edge.upstream) for entry in scenario.entries for edge in entry.dependencies)
+    model_of, index_of, dl_of, arrivals, arrival_us, dependents, anchored = _plan(stream, pairs)
+    unresolved = anchored.copy()  # anchored dependencies not yet fired true
 
     completions: list[tuple[int, int, int]] = []  # (t_end_us, unit rank, position)
     free = list(range(len(units)))  # ranks of idle units, ascending
