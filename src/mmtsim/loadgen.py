@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from statistics import NormalDist
 from typing import Mapping, NamedTuple
@@ -106,7 +106,6 @@ class RequestStream:
     duration: float
     seed: int
     requests: tuple[InferenceRequest, ...]
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # runtime's memo
 
 
 def select_frames(target_rate: float, streaming_rate: float, count: int) -> list[int]:

@@ -23,27 +23,28 @@ without comparing (round-robin still moves the unit's cursor to it).
 State: per-request state lives in flat lists indexed by stream position.
 What depends on the stream alone comes from a per-stream plan, built once
 per edge shape (the scenario's (downstream, upstream) model pairs) and kept
-on the stream: the columns `model_of`, `index_of` and `dl_of` (each
-position's model, request index and deadline), the arrival order and the
-dependency anchors. Anchors name edges by number, so each run gates with its
-own scenario's edges. The event loop, the drop rule and both policies read
-the columns, not the requests' attributes; a run copies the plan's counts of
-unresolved dependencies and changes nothing else in it.
+in this module while the stream object lives: the columns `model_of`,
+`index_of` and `dl_of` (each position's model, request index and deadline),
+the arrival order and the dependency anchors. Anchors name edges by number,
+so each run gates with its own scenario's edges. The event loop, the drop
+rule and both policies read the columns, not the requests' attributes; a run
+copies the plan's counts of unresolved dependencies and changes nothing else
+in it. The stream itself is not touched.
 A request's status is set exactly once, when it launches (completed) or
 fails (dropped or untriggered); requests still waiting when the stream
 runs out are dropped. A failed anchor never completes, so its edges never
 fire and its dependents never launch.
 
-A single simulation is strictly single-threaded and deterministic. Multiple
-simulations can run concurrently: the inputs are immutable but for the
-stream's plan memo, which concurrent first runs may each fill with equal
-plans, which is harmless.
+A single simulation is strictly single-threaded and deterministic; multiple
+simulations can run concurrently since all inputs are immutable (concurrent
+first runs of one stream may each build its plan; the plans are equal).
 """
 
 from __future__ import annotations
 
 import csv
 import heapq
+import weakref
 from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -159,12 +160,21 @@ class _Plan(NamedTuple):
     unresolved: list[int]  # anchored dependencies
 
 
+# id(stream) -> edge shape -> plan, for live streams only: a finalizer drops a
+# stream's plans when the stream is collected, before its id can be reused.
+_plans: dict[int, dict[tuple[tuple[str, str], ...], _Plan]] = {}
+
+
 def _plan(stream: RequestStream, pairs: tuple[tuple[str, str], ...]) -> _Plan:
     """The stream's plan for the edges `pairs`, a (downstream model, upstream
     model) pair per edge in the scenario's entry order. Built on first use
-    and kept in the stream's memo, so scenarios whose edges differ only in
-    trigger probability share it."""
-    plan = stream._plans.get(pairs)
+    and kept while the stream lives, so later runs of the same stream object,
+    under scenarios whose edges differ only in trigger probability, share it."""
+    plans = _plans.get(id(stream))
+    if plans is None:
+        plans = _plans[id(stream)] = {}
+        weakref.finalize(stream, _plans.pop, id(stream), None)
+    plan = plans.get(pairs)
     if plan is not None:
         return plan
     requests = stream.requests
@@ -195,7 +205,7 @@ def _plan(stream: RequestStream, pairs: tuple[tuple[str, str], ...]) -> _Plan:
                     continue  # no upstream frame precedes; nothing to wait on
                 dependents.setdefault(up_by_index[k], []).append((e, p))
                 unresolved[p] += 1
-    plan = stream._plans[pairs] = _Plan(model_of, index_of, dl_of, arrivals, arrival_us, dependents, unresolved)
+    plan = plans[pairs] = _Plan(model_of, index_of, dl_of, arrivals, arrival_us, dependents, unresolved)
     return plan
 
 

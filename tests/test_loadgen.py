@@ -1,3 +1,5 @@
+import gc
+import pickle
 from collections import Counter
 from dataclasses import replace
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmtsim import ConfigError, InputSource, ScenarioEntry, UnitModel, UsageScenario, simulate, synthetic_table
+from mmtsim import runtime
 from mmtsim.costmodel import preset_system
 from mmtsim.loadgen import (
     InferenceRequest,
@@ -110,7 +113,7 @@ def test_inference_request_is_an_immutable_value():
 
 
 def test_a_simulated_stream_stays_an_equal_value():
-    # simulate keeps a per-stream plan on the stream; it must not show in the stream's value
+    # simulate keeps a plan per stream object; it must not show in the stream's value
     config = builtin_config()
     scenario = config.suite.scenario("outdoor-activity-a")
     stream = generate_requests(scenario, config.sources, config.models, 1.0, seed=7)
@@ -118,11 +121,16 @@ def test_a_simulated_stream_stays_an_equal_value():
     before = repr(stream)
     hw = preset_system("J")
     simulate(scenario, stream, hw, synthetic_table(config.models, hw))
-    assert stream._plans  # the memo was filled
+    assert id(stream) in runtime._plans  # the plan was kept
     assert stream == twin and hash(stream) == hash(twin)
     assert repr(stream) == repr(twin) == before
+    assert pickle.dumps(stream) == pickle.dumps(twin)
     copy = replace(stream)
-    assert copy == stream and copy._plans == {}
+    assert copy == stream and id(copy) not in runtime._plans
+    key = id(stream)
+    del stream
+    gc.collect()
+    assert key not in runtime._plans  # dropped with the stream
 
 
 def test_multi_modal_request_time_is_max_over_sources():

@@ -60,7 +60,7 @@ def test_builtin_suite_on_small_preset_matches_reference(preset, policy):
 
 
 def test_reused_streams_match_reference():
-    # simulate keeps a plan on each stream; every run after the first reuses it
+    # simulate keeps a plan per stream object; every run after the first reuses it
     config = builtin_config()
     streams = {s.id: generate_requests(s, config.sources, config.models, 1.0, seed=7) for s in config.suite.scenarios}
     for preset in ("G", "L", "A"):
