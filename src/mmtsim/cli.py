@@ -155,10 +155,13 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    # The points differ only in one edge's probability, which the request
+    # stream does not depend on: generate it once and simulate it at each.
+    scenarios = [workload.with_edge_probability(base, upstream, downstream, p) for p in values]
+    stream = loadgen.generate_requests(scenarios[0], config.sources, config.models, args.duration, args.seed)
     rows = ["probability,rt_mean,en_mean,qoe,n_processed,scenario_score"]
-    for p in values:
-        scenario = workload.with_edge_probability(base, upstream, downstream, p)
-        log = _simulate_scenario(scenario, config, hw, table, args)
+    for p, scenario in zip(values, scenarios):
+        log = runtime.simulate(scenario, stream, hw, table, policy=args.policy)
         report = scoring.scenario_report(log, scenario, config.models, cfg)
         down = report.models[downstream]
         rows.append(

@@ -207,6 +207,17 @@ def test_non_numeric_sweep_value_is_a_config_error(tmp_path, capsys):
     assert err.startswith("error: ") and "'a,b'" in err
 
 
+def test_out_of_range_sweep_value_fails_before_any_point(tmp_path, capsys):
+    out = tmp_path / "s"
+    code = main(
+        ["sweep", "--scenario", "vr-gaming", "--edge", "ES->GE", "--values", "0.5,1.5", "--hw", "preset:A",
+         "--synthetic", "--duration", "1", "--out", str(out)]
+    )
+    assert code == 2
+    assert "trigger_probability must be in [0,1]" in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # every value is checked before the one stream is simulated
+
+
 @pytest.mark.parametrize("flag", ["--suite", "--hw", "--costs"])
 def test_malformed_json_file_is_a_config_error(tmp_path, capsys, flag):
     bad = tmp_path / "bad.json"
