@@ -380,6 +380,98 @@ def test_validate_schedule_detects_early_start():
     assert any("request time" in v for v in validate_schedule(log, scenario))
 
 
+def _one_violation_cases():
+    up_dn = UsageScenario(
+        id="x",
+        entries=(
+            ScenarioEntry(model="UP", target_rate=2.0),
+            ScenarioEntry(model="DN", target_rate=2.0, dependencies=(DependencyEdge(upstream="UP", downstream="DN"),)),
+        ),
+    )
+    only_a = UsageScenario(id="x", entries=(ScenarioEntry(model="A", target_rate=2.0),))
+    return {
+        "overlap": (
+            only_a,
+            [
+                TimelineEntry(_req("A", 0), "u0", t_start_us=0, t_end_us=100, status=COMPLETED, energy_mj=0.0),
+                TimelineEntry(_req("A", 1), "u0", t_start_us=50, t_end_us=150, status=COMPLETED, energy_mj=0.0),
+            ],
+            "occupancy violation on unit u0: A[0] overlaps A[1]",
+        ),
+        "start-before-anchor-ends": (
+            up_dn,
+            [
+                TimelineEntry(_req("UP", 0), "u0", t_start_us=0, t_end_us=100, status=COMPLETED, energy_mj=0.0),
+                TimelineEntry(_req("DN", 0), "u1", t_start_us=99, t_end_us=120, status=COMPLETED, energy_mj=0.0),
+            ],
+            "dependency violation UP->DN: DN[0] started before upstream ended",
+        ),
+        "anchor-dropped": (
+            up_dn,
+            [
+                TimelineEntry(_req("UP", 0), None, t_start_us=None, t_end_us=None, status=DROPPED, energy_mj=0.0),
+                TimelineEntry(_req("DN", 0), "u1", t_start_us=200, t_end_us=220, status=COMPLETED, energy_mj=0.0),
+            ],
+            "dependency violation UP->DN: DN[0] ran without its upstream",
+        ),
+        "start-before-request": (
+            only_a,
+            [TimelineEntry(_req("A", 0, t_req=100), "u0", t_start_us=99, t_end_us=150, status=COMPLETED, energy_mj=0.0)],
+            "A[0] started before its request time",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_one_violation_cases()))
+def test_validate_schedule_reports_the_one_violation_of_a_timeline(case):
+    scenario, rows, message = _one_violation_cases()[case]
+    assert validate_schedule(log_of(rows), scenario) == [message]
+
+
+def test_validate_schedule_reports_violations_in_a_fixed_order():
+    # Early starts by stream position, then overlaps per unit (in the order
+    # the units first complete a row) by start time, then each edge's
+    # dependency violations in downstream frame order.
+    scenario = UsageScenario(
+        id="x",
+        entries=(
+            ScenarioEntry(model="UP", target_rate=2.0),
+            ScenarioEntry(model="DN", target_rate=2.0, dependencies=(DependencyEdge(upstream="UP", downstream="DN"),)),
+            ScenarioEntry(model="A", target_rate=2.0),
+        ),
+    )
+    rows = [
+        TimelineEntry(_req("DN", 1), "u1", t_start_us=250, t_end_us=300, status=COMPLETED, energy_mj=0.0),
+        TimelineEntry(_req("UP", 0), "u0", t_start_us=0, t_end_us=100, status=COMPLETED, energy_mj=0.0),
+        TimelineEntry(_req("A", 0, t_req=60), "u0", t_start_us=50, t_end_us=120, status=COMPLETED, energy_mj=0.0),
+        TimelineEntry(_req("UP", 1), None, t_start_us=None, t_end_us=None, status=DROPPED, energy_mj=0.0),
+        TimelineEntry(_req("DN", 0), "u1", t_start_us=90, t_end_us=95, status=COMPLETED, energy_mj=0.0),
+        TimelineEntry(_req("A", 1), "u1", t_start_us=92, t_end_us=200, status=COMPLETED, energy_mj=0.0),
+    ]
+    assert validate_schedule(log_of(rows), scenario) == [
+        "A[0] started before its request time",
+        "occupancy violation on unit u1: DN[0] overlaps A[1]",
+        "occupancy violation on unit u0: UP[0] overlaps A[0]",
+        "dependency violation UP->DN: DN[0] started before upstream ended",
+        "dependency violation UP->DN: DN[1] ran without its upstream",
+    ]
+
+
+def test_validate_schedule_passes_simulated_timelines():
+    config = builtin_config()
+    hw = preset_system("G", total_pes=96)
+    costs = synthetic_table(config.models, hw)
+    for scenario in config.suite.scenarios:
+        stream = generate_requests(scenario, config.sources, config.models, 5.0, seed=7)
+        assert validate_schedule(simulate(scenario, stream, hw, costs), scenario) == []
+    rng = random.Random(2024)
+    for i in range(30):
+        scenario, sources, models, hw, costs = random_setup(rng)
+        stream = generate_requests(scenario, sources, models, 0.5, seed=i)
+        for policy in ("latency-greedy", "round-robin"):
+            assert validate_schedule(simulate(scenario, stream, hw, costs, policy=policy), scenario) == []
+
+
 def test_log_csv_roundtrip():
     scenario, stream, hw, costs = single_model_setup(rate=4.0, latency_ms=800.0)
     log = simulate(scenario, stream, hw, costs)
