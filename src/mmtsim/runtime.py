@@ -330,41 +330,46 @@ def simulate(
 
 
 def validate_schedule(log: EventLog, scenario: UsageScenario) -> list[str]:
-    """Check occupancy, dependency order, and arrival constraints on a log."""
+    """Check occupancy, dependency order, and arrival constraints on a log,
+    reading its columns. Each dependency is anchored anew by frame, so a log
+    from outside the program is checked against the scenario, not a plan."""
+    requests, unit, t_start_us, t_end_us, status = log.requests, log.unit, log.t_start_us, log.t_end_us, log.status
 
-    def name(e: TimelineEntry) -> str:
-        return f"{e.request.model}[{e.request.request_index}]"
+    def name(p: int) -> str:
+        return f"{requests[p].model}[{requests[p].request_index}]"
 
     violations: list[str] = []
-    per_unit: dict[str, list[TimelineEntry]] = {}
-    for e in log.entries:
-        if e.status != COMPLETED:
+    per_unit: dict[str, list[int]] = {}
+    for p, st in enumerate(status):
+        if st != COMPLETED:
             continue
-        if e.t_start_us < e.request.t_req_us:
-            violations.append(f"{name(e)} started before its request time")
-        per_unit.setdefault(e.unit, []).append(e)
-    for unit_id, es in per_unit.items():
-        es.sort(key=lambda e: (e.t_start_us, e.t_end_us))
-        for prev, cur in zip(es, es[1:]):
-            if cur.t_start_us < prev.t_end_us:
+        if t_start_us[p] < requests[p].t_req_us:
+            violations.append(f"{name(p)} started before its request time")
+        per_unit.setdefault(unit[p], []).append(p)
+    for unit_id, ps in per_unit.items():
+        ps.sort(key=lambda p: (t_start_us[p], t_end_us[p]))
+        for prev, cur in zip(ps, ps[1:]):
+            if t_start_us[cur] < t_end_us[prev]:
                 violations.append(f"occupancy violation on unit {unit_id}: {name(prev)} overlaps {name(cur)}")
 
-    by_model = {m: sorted(log.by_model(m), key=lambda e: e.request.frame_index) for m in log.positions}
+    # Each model's positions by frame; a stable sort keeps request index order within a frame.
+    frame_of = [r.frame_index for r in requests]
+    by_frame = {m: sorted(ps, key=frame_of.__getitem__) for m, ps in log.positions.items()}
     for entry_spec in scenario.entries:
         for edge in entry_spec.dependencies:
-            ups = by_model.get(edge.upstream, [])
-            up_frames = [u.request.frame_index for u in ups]
-            for e in by_model.get(entry_spec.model, []):
-                if e.status != COMPLETED:
+            ups = by_frame.get(edge.upstream, [])
+            up_frames = [frame_of[q] for q in ups]
+            for p in by_frame.get(entry_spec.model, []):
+                if status[p] != COMPLETED:
                     continue
-                pos = bisect_right(up_frames, e.request.frame_index) - 1
-                if pos < 0:
+                k = bisect_right(up_frames, frame_of[p]) - 1
+                if k < 0:
                     continue
-                up = ups[pos]
-                if up.status != COMPLETED:
-                    violations.append(f"dependency violation {edge.key}: {name(e)} ran without its upstream")
-                elif e.t_start_us < up.t_end_us:
-                    violations.append(f"dependency violation {edge.key}: {name(e)} started before upstream ended")
+                q = ups[k]
+                if status[q] != COMPLETED:
+                    violations.append(f"dependency violation {edge.key}: {name(p)} ran without its upstream")
+                elif t_start_us[p] < t_end_us[q]:
+                    violations.append(f"dependency violation {edge.key}: {name(p)} started before upstream ended")
     return violations
 
 
