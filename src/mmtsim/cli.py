@@ -7,10 +7,10 @@ configuration so results can be reproduced from the outputs alone.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import costmodel, loadgen, runtime, scoring, workload
@@ -20,9 +20,13 @@ DEFAULT_DURATION = 1.0
 DEFAULT_SEED = 0
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_write(path: Path):
+    """A text file to write `path` through: a temp file beside it, renamed over
+    it once the block completes. Lines end as written, on every platform."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        yield fh
     os.replace(tmp, path)
 
 
@@ -88,10 +92,10 @@ def _simulate_scenario(scenario, config, hw, table, args) -> runtime.EventLog:
 
 
 def _write_scenario_outputs(out: Path, scenario_id: str, log) -> None:
-    buf = io.StringIO()
-    runtime.log_to_csv(log, buf)
-    _atomic_write(out / f"timeline_{scenario_id}.csv", buf.getvalue())
-    _atomic_write(out / f"log_{scenario_id}.json", json.dumps(runtime.log_to_obj(log), indent=2) + "\n")
+    with _atomic_write(out / f"timeline_{scenario_id}.csv") as fh:
+        runtime.log_to_csv(log, fh)
+    with _atomic_write(out / f"log_{scenario_id}.json") as fh:
+        fh.write(json.dumps(runtime.log_to_obj(log), indent=2) + "\n")
 
 
 def _summary_text(report: scoring.ScoreReport) -> str:
@@ -120,18 +124,24 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    logs = {}
+    # One scenario at a time: its log is dropped once written and scored, so
+    # memory is bounded by the largest scenario, not the suite.
+    reports = {}
     for scenario in _scenarios(args, config):
         log = _simulate_scenario(scenario, config, hw, table, args)
-        logs[scenario.id] = log
         _write_scenario_outputs(out, scenario.id, log)
+        reports[scenario.id] = scoring.scenario_report(log, scenario, config.models, cfg)
+        del log
 
-    report = scoring.build_report(logs, config, cfg)
+    report = scoring.suite_report(reports, cfg)
     report_obj = scoring.report_to_obj(report)
     report_obj["run_config"] = _resolved_config_obj(args, hw, table, cfg)
-    _atomic_write(out / "report.json", json.dumps(report_obj, indent=2) + "\n")
-    _atomic_write(out / "summary.txt", _summary_text(report))
-    print(_summary_text(report), end="")
+    with _atomic_write(out / "report.json") as fh:
+        fh.write(json.dumps(report_obj, indent=2) + "\n")
+    summary = _summary_text(report)
+    with _atomic_write(out / "summary.txt") as fh:
+        fh.write(summary)
+    print(summary, end="")
     return 0
 
 
@@ -142,10 +152,17 @@ def cmd_sweep(args) -> int:
         upstream, downstream = args.edge.split("->")
     except ValueError:
         raise ConfigError("--edge must look like ES->GE") from None
+    texts = [v.strip() for v in args.values.split(",")]
     try:
-        values = [float(v) for v in args.values.split(",")]
+        values = [float(v) for v in texts]
     except ValueError:
         raise ConfigError(f"--values {args.values!r}: each value must be a number") from None
+    first_of: dict[str, str] = {}  # point file name -> the value that names it
+    for text, p in zip(texts, values):
+        name = f"sweep_point_{p:g}.json"
+        if name in first_of:
+            raise ConfigError(f"--values {first_of[name]} and {text} both name the point file {name}")
+        first_of[name] = text
 
     config = _load_config(args)
     hw = _load_hardware(args)
@@ -174,8 +191,10 @@ def cmd_sweep(args) -> int:
             "counts": runtime.log_to_obj(log)["counts"],
             "scenario_score": report.scenario_score,
         }
-        _atomic_write(out / f"sweep_point_{p:g}.json", json.dumps(point_obj, indent=2) + "\n")
-    _atomic_write(out / "sweep.csv", "\n".join(rows) + "\n")
+        with _atomic_write(out / f"sweep_point_{p:g}.json") as fh:
+            fh.write(json.dumps(point_obj, indent=2) + "\n")
+    with _atomic_write(out / "sweep.csv") as fh:
+        fh.write("\n".join(rows) + "\n")
     print("\n".join(rows))
     return 0
 
@@ -217,7 +236,8 @@ def cmd_score(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out / "report.json", text)
+        with _atomic_write(out / "report.json") as fh:
+            fh.write(text)
     print(text, end="")
     return 0
 
@@ -227,7 +247,8 @@ def cmd_export_suite(args) -> int:
     obj = workload.config_to_obj(config)
     text = json.dumps(obj, indent=2) + "\n"
     if args.out:
-        _atomic_write(Path(args.out), text)
+        with _atomic_write(Path(args.out)) as fh:
+            fh.write(text)
     else:
         print(text, end="")
     return 0

@@ -32,6 +32,8 @@ class HardwareUnit:
     power_watts: float = 1.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.pe_count, bool) or not isinstance(self.pe_count, int):
+            raise ConfigError(f"unit {self.id!r}: pe_count must be an integer, not {self.pe_count!r}")
         if self.pe_count <= 0:
             raise ConfigError(f"unit {self.id!r}: pe_count must be > 0")
         if not 0 < self.clock_ghz < math.inf:
@@ -209,7 +211,7 @@ def system_from_obj(obj: Mapping) -> HardwareSystem:
                 HardwareUnit(
                     id=u["id"],
                     dataflow=u["dataflow"],
-                    pe_count=int(u["pe_count"]),
+                    pe_count=u["pe_count"],
                     clock_ghz=float(u.get("clock_ghz", 1.0)),
                     power_watts=float(u.get("power_watts", 1.0)),
                 )

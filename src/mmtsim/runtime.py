@@ -422,7 +422,9 @@ def _check_request_indices(requests: list[InferenceRequest]) -> None:
 def log_from_csv(fh, scenario: str = "") -> EventLog:
     """Read a timeline written by `log_to_csv`, its columns in any order and
     blank lines skipped; a malformed one is a ConfigError naming its line.
-    The CSV holds no hardware, seed or duration, so the log's are blank."""
+    The CSV holds no hardware, seed or duration, so the log's are blank.
+    Statuses are this module's constants, and each distinct model id and unit
+    id is one string object, not one per row."""
     reader = csv.reader(fh)
     header = next(reader, [])
     missing = [f for f in LOG_CSV_FIELDS if f not in header]
@@ -430,6 +432,8 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
         raise ConfigError(f"timeline CSV lacks column(s) {', '.join(missing)}")
     pick = itemgetter(*(header.index(f) for f in LOG_CSV_FIELDS))
     requests, unit, t_start_us, t_end_us, status, energy_mj = [], [], [], [], [], []
+    statuses = {s: s for s in (COMPLETED, DROPPED, UNTRIGGERED)}
+    ids: dict[str, str] = {}
     try:  # each check raises ValueError, like a field that is not a (finite) number
         for row in reader:
             if not row:
@@ -437,12 +441,12 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
             if len(row) < len(header):
                 raise ValueError(f"a short row of {len(row)} fields, the header has {len(header)}")
             model, request_index, frame_index, u, t_req, t_start, t_end, t_dl, st, energy = pick(row)
-            if st not in (COMPLETED, DROPPED, UNTRIGGERED):
+            if st not in statuses:
                 raise ValueError(f"unknown status {st!r}")
             if st == COMPLETED and not (u and t_start and t_end):
                 raise ValueError("a completed request needs a unit, a start and an end")
             r = InferenceRequest(
-                model,
+                ids.setdefault(model, model),
                 int(frame_index),
                 int(request_index),
                 round(float(t_req) * US_PER_MS),
@@ -453,10 +457,10 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
             if st == COMPLETED and not r.t_req_us <= start <= end:
                 raise ValueError("a completed request needs t_req_ms <= t_start_ms <= t_end_ms")
             requests.append(r)
-            unit.append(u or None)
+            unit.append(ids.setdefault(u, u) if u else None)
             t_start_us.append(start)
             t_end_us.append(end)
-            status.append(st)
+            status.append(statuses[st])
             energy_mj.append(float(energy))
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"timeline CSV line {reader.line_num}: {exc}") from None

@@ -203,23 +203,31 @@ def overall_score(scenario_scores: Sequence[float], mean: str = ARITHMETIC) -> f
     return total / len(scenario_scores)
 
 
+def suite_report(scenario_reports: Mapping[str, ScenarioReport], cfg: ScoringConfig) -> ScoreReport:
+    """The suite's report from its scenarios' reports, given in suite scenario
+    order: both overall means over their scenario scores."""
+    scores = [rep.scenario_score for rep in scenario_reports.values()]
+    return ScoreReport(
+        scenarios=dict(scenario_reports),
+        overall_arithmetic=overall_score(scores, ARITHMETIC),
+        overall_geometric=overall_score(scores, GEOMETRIC),
+        config=cfg,
+    )
+
+
 def build_report(
     logs: Mapping[str, EventLog],
     config: SuiteConfig,
     cfg: ScoringConfig,
 ) -> ScoreReport:
     """Score one EventLog per scenario id, in suite scenario order."""
-    scenario_reports = {
-        scenario.id: scenario_report(logs[scenario.id], scenario, config.models, cfg)
-        for scenario in config.suite.scenarios
-        if scenario.id in logs
-    }
-    scores = [rep.scenario_score for rep in scenario_reports.values()]
-    return ScoreReport(
-        scenarios=scenario_reports,
-        overall_arithmetic=overall_score(scores, ARITHMETIC),
-        overall_geometric=overall_score(scores, GEOMETRIC),
-        config=cfg,
+    return suite_report(
+        {
+            scenario.id: scenario_report(logs[scenario.id], scenario, config.models, cfg)
+            for scenario in config.suite.scenarios
+            if scenario.id in logs
+        },
+        cfg,
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import pytest
 
@@ -32,6 +33,21 @@ def test_run_is_byte_deterministic(tmp_path):
     assert main(args + [str(tmp_path / "a")]) == 0
     assert main(args + [str(tmp_path / "b")]) == 0
     assert (tmp_path / "a/report.json").read_bytes() == (tmp_path / "b/report.json").read_bytes()
+
+
+def test_run_keeps_at_most_one_event_log_alive(tmp_path, monkeypatch):
+    original = runtime.simulate
+    refs, alive = [], []
+
+    def simulate(*args, **kwargs):
+        log = original(*args, **kwargs)
+        refs.append(weakref.ref(log))
+        alive.append(sum(ref() is not None for ref in refs))
+        return log
+
+    monkeypatch.setattr(runtime, "simulate", simulate)
+    assert main(["run", "--hw", "preset:J", "--synthetic", "--out", str(tmp_path / "o")]) == 0
+    assert alive == [1] * len(builtin_config().suite.scenarios)
 
 
 def test_missing_cost_entry_is_reported(tmp_path, capsys):
@@ -216,6 +232,38 @@ def test_out_of_range_sweep_value_fails_before_any_point(tmp_path, capsys):
     assert code == 2
     assert "trigger_probability must be in [0,1]" in capsys.readouterr().err
     assert list(out.iterdir()) == []  # every value is checked before the one stream is simulated
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ("0.1234567,0.1234568", "0.1234567 and 0.1234568 both name the point file sweep_point_0.123457.json"),
+        ("0.2,0.5,0.5", "0.5 and 0.5 both name the point file sweep_point_0.5.json"),
+    ],
+    ids=["same-name", "same-value"],
+)
+def test_sweep_values_that_share_a_point_file_are_a_config_error(tmp_path, capsys, values, message):
+    out = tmp_path / "s"
+    code = main(
+        ["sweep", "--scenario", "vr-gaming", "--edge", "ES->GE", "--values", values, "--hw", "preset:A",
+         "--synthetic", "--duration", "1", "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()  # raised before any point is simulated
+
+
+@pytest.mark.parametrize("value", [4096.9, True, "4096"], ids=["float", "bool", "string"])
+def test_non_integer_hardware_pe_count_is_a_config_error(tmp_path, capsys, value):
+    obj = system_to_obj(preset_system("J"))
+    obj["units"][0]["pe_count"] = value
+    path = tmp_path / "hw.json"
+    path.write_text(json.dumps(obj))
+    code = main(["run", "--hw", str(path), "--synthetic", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"pe_count must be an integer, not {value!r}" in err
 
 
 @pytest.mark.parametrize("flag", ["--suite", "--hw", "--costs"])

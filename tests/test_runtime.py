@@ -484,6 +484,20 @@ def test_log_csv_roundtrip():
     assert back.counts == log.counts
 
 
+def test_log_from_csv_shares_one_object_per_status_model_and_unit():
+    config = builtin_config()
+    scenario = config.suite.scenario("ar-assistant")
+    hw = preset_system("G", total_pes=96)
+    stream = generate_requests(scenario, config.sources, config.models, 2.0, seed=7)
+    back = log_from_csv(io.StringIO(_csv_text(simulate(scenario, stream, hw, synthetic_table(config.models, hw)))))
+    assert set(back.status) == {COMPLETED, DROPPED, UNTRIGGERED}
+    assert {id(st) for st in back.status} == {id(COMPLETED), id(DROPPED), id(UNTRIGGERED)}
+    models = [r.model for r in back.requests]
+    units = [u for u in back.unit if u is not None]
+    assert len({id(m) for m in models}) == len(set(models)) == len(scenario.model_ids)
+    assert len({id(u) for u in units}) == len(set(units)) > 1
+
+
 def _csv_text(log):
     buf = io.StringIO()
     log_to_csv(log, buf)

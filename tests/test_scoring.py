@@ -18,10 +18,21 @@ from mmtsim.scoring import (
     per_inference_score,
     qoe_score,
     rt_score,
+    report_to_obj,
     scenario_report,
+    suite_report,
 )
-from mmtsim.workload import HIGHER_IS_BETTER, LOWER_IS_BETTER, ScenarioEntry, UnitModel, UsageScenario
+from mmtsim.workload import (
+    HIGHER_IS_BETTER,
+    LOWER_IS_BETTER,
+    BenchmarkSuite,
+    ScenarioEntry,
+    SuiteConfig,
+    UnitModel,
+    UsageScenario,
+)
 
+from fuzzing import random_setup
 from timelines import log_of
 
 
@@ -210,3 +221,42 @@ def test_build_report_orders_and_bounds():
             for value in (m.rt_mean, m.en_mean, m.acc_mean, m.model_score, m.qoe):
                 assert 0.0 <= value <= 1.0
     assert 0.0 <= report.overall_geometric <= report.overall_arithmetic <= 1.0
+
+
+def _folded(logs, config, cfg):
+    """suite_report over each logged scenario's report, in suite order."""
+    return suite_report(
+        {s.id: scenario_report(logs[s.id], s, config.models, cfg) for s in config.suite.scenarios if s.id in logs},
+        cfg,
+    )
+
+
+def _same_bits(a, b) -> bool:
+    # repr round-trips every float exactly, and tells -0.0 from 0.0
+    return a == b and repr(report_to_obj(a)) == repr(report_to_obj(b))
+
+
+def test_build_report_is_suite_report_over_scenario_reports():
+    config = builtin_config()
+    hw = preset_system("G", total_pes=96)
+    costs = synthetic_table(config.models, hw)
+    cfg = ScoringConfig(k=10.0, e_max_mj=costs.e_max_mj)
+    logs = {}
+    for scenario in reversed(config.suite.scenarios):  # build_report orders by the suite, not by the mapping
+        stream = generate_requests(scenario, config.sources, config.models, 2.0, seed=7)
+        logs[scenario.id] = simulate(scenario, stream, hw, costs)
+    assert _same_bits(build_report(logs, config, cfg), _folded(logs, config, cfg))
+    some = {sid: logs[sid] for sid in ("vr-gaming", "social-interaction-b")}
+    report = build_report(some, config, cfg)
+    assert list(report.scenarios) == ["social-interaction-b", "vr-gaming"]
+    assert _same_bits(report, _folded(some, config, cfg))
+
+
+def test_build_report_is_suite_report_on_fuzzed_setups():
+    rng = random.Random(17)
+    for i in range(20):
+        scenario, sources, models, hw, costs = random_setup(rng)
+        config = SuiteConfig(sources=sources, models=models, suite=BenchmarkSuite(scenarios=(scenario,)))
+        cfg = ScoringConfig(k=rng.choice([0.0, 10.0, 1000.0]), e_max_mj=costs.e_max_mj)
+        logs = {scenario.id: simulate(scenario, generate_requests(scenario, sources, models, 0.5, seed=i), hw, costs)}
+        assert _same_bits(build_report(logs, config, cfg), _folded(logs, config, cfg))
