@@ -23,10 +23,16 @@ DEFAULT_SEED = 0
 @contextmanager
 def _atomic_write(path: Path):
     """A text file to write `path` through: a temp file beside it, renamed over
-    it once the block completes. Lines end as written, on every platform."""
+    it once the block completes and removed if the block fails, so `path` is
+    never partly written. Lines end as written, on every platform."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        yield fh
+    fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from mmtsim import builtin_config, runtime
+from mmtsim import ConfigError, builtin_config, runtime
 from mmtsim.cli import main
 from mmtsim.costmodel import (
     CostTable,
@@ -48,6 +48,17 @@ def test_run_keeps_at_most_one_event_log_alive(tmp_path, monkeypatch):
     monkeypatch.setattr(runtime, "simulate", simulate)
     assert main(["run", "--hw", "preset:J", "--synthetic", "--out", str(tmp_path / "o")]) == 0
     assert alive == [1] * len(builtin_config().suite.scenarios)
+
+
+def test_a_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    def log_to_csv(log, fh):
+        fh.write("model,request_index\n")
+        raise ConfigError("disk full")
+
+    monkeypatch.setattr(runtime, "log_to_csv", log_to_csv)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "vr-gaming", "--hw", "preset:J", "--synthetic", "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
 
 
 def test_missing_cost_entry_is_reported(tmp_path, capsys):
