@@ -208,7 +208,7 @@ def suite_report(scenario_reports: Mapping[str, ScenarioReport], cfg: ScoringCon
     order: both overall means over their scenario scores."""
     scores = [rep.scenario_score for rep in scenario_reports.values()]
     return ScoreReport(
-        scenarios=dict(scenario_reports),
+        scenarios=scenario_reports,
         overall_arithmetic=overall_score(scores, ARITHMETIC),
         overall_geometric=overall_score(scores, GEOMETRIC),
         config=cfg,
