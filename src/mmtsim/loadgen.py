@@ -15,7 +15,7 @@ from statistics import NormalDist
 from typing import Mapping, NamedTuple
 
 from .errors import ConfigError
-from .workload import InputSource, ScenarioEntry, UnitModel, UsageScenario, validate_scenario
+from .workload import InputSource, UnitModel, UsageScenario, validate_scenario
 
 US_PER_MS = 1000
 US_PER_S = 1_000_000
@@ -52,28 +52,14 @@ def jitter_offset(source: InputSource, frame: int, seed: int) -> float:
 
 
 def _request_time_us(source: InputSource, frame: int, seed: int) -> int:
+    """Arrival of frame `frame` of `source`: init latency, periodic position, jitter."""
     base = round(source.init_latency * US_PER_MS) + round(frame * US_PER_S / source.streaming_rate)
     return base + round(jitter_offset(source, frame, seed) * US_PER_MS)
 
 
-def request_time(source: InputSource, frame: int, seed: int) -> float:
-    """Arrival time (ms) of frame `frame` of `source`: init latency, periodic
-    position, plus the jitter term."""
-    if frame < 0:
-        raise ValueError("frame must be >= 0")
-    return _request_time_us(source, frame, seed) / US_PER_MS
-
-
 def _deadline_us(target_rate: float, request_index: int, init_latency_ms: float) -> int:
+    """A model's k-th deadline: k+1 target-rate periods after its init latency; never jittered."""
     return round(init_latency_ms * US_PER_MS) + round((request_index + 1) * US_PER_S / target_rate)
-
-
-def deadline(entry: ScenarioEntry, request_index: int, init_latency_ms: float = 0.0) -> float:
-    """Deadline (ms) of a model's k-th request: one target-rate period after
-    the previous one. Jitter never shifts deadlines."""
-    if request_index < 0:
-        raise ValueError("request_index must be >= 0")
-    return _deadline_us(entry.target_rate, request_index, init_latency_ms) / US_PER_MS
 
 
 class InferenceRequest(NamedTuple):

@@ -46,7 +46,6 @@ import csv
 import heapq
 import weakref
 from bisect import bisect_right, insort
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -246,8 +245,8 @@ def simulate(
     t_end_us: list[int | None] = [None] * n
     energy_mj = [0.0] * n
 
-    edges = [edge for entry in scenario.entries for edge in entry.dependencies]
-    pairs = tuple((entry.model, edge.upstream) for entry in scenario.entries for edge in entry.dependencies)
+    edges = scenario.edges()
+    pairs = tuple((e.downstream, e.upstream) for e in edges)
     model_of, index_of, dl_of, arrivals, arrival_us, dependents, anchored = _plan(stream, pairs)
     unresolved = anchored.copy()  # anchored dependencies not yet fired true
 
@@ -355,21 +354,20 @@ def validate_schedule(log: EventLog, scenario: UsageScenario) -> list[str]:
     # Each model's positions by frame; a stable sort keeps request index order within a frame.
     frame_of = [r.frame_index for r in requests]
     by_frame = {m: sorted(ps, key=frame_of.__getitem__) for m, ps in log.positions.items()}
-    for entry_spec in scenario.entries:
-        for edge in entry_spec.dependencies:
-            ups = by_frame.get(edge.upstream, [])
-            up_frames = [frame_of[q] for q in ups]
-            for p in by_frame.get(entry_spec.model, []):
-                if status[p] != COMPLETED:
-                    continue
-                k = bisect_right(up_frames, frame_of[p]) - 1
-                if k < 0:
-                    continue
-                q = ups[k]
-                if status[q] != COMPLETED:
-                    violations.append(f"dependency violation {edge.key}: {name(p)} ran without its upstream")
-                elif t_start_us[p] < t_end_us[q]:
-                    violations.append(f"dependency violation {edge.key}: {name(p)} started before upstream ended")
+    for edge in scenario.edges():
+        ups = by_frame.get(edge.upstream, [])
+        up_frames = [frame_of[q] for q in ups]
+        for p in by_frame.get(edge.downstream, []):
+            if status[p] != COMPLETED:
+                continue
+            k = bisect_right(up_frames, frame_of[p]) - 1
+            if k < 0:
+                continue
+            q = ups[k]
+            if status[q] != COMPLETED:
+                violations.append(f"dependency violation {edge.key}: {name(p)} ran without its upstream")
+            elif t_start_us[p] < t_end_us[q]:
+                violations.append(f"dependency violation {edge.key}: {name(p)} started before upstream ended")
     return violations
 
 
@@ -404,19 +402,6 @@ def log_to_csv(log: EventLog, fh) -> None:
             log.requests, log.unit, log.t_start_us, log.t_end_us, log.status, log.energy_mj
         )
     )
-
-
-def _check_request_indices(requests: list[InferenceRequest]) -> None:
-    """A timeline has one row for each of a model's request indices 0..n-1."""
-    model_and_index = itemgetter(0, 2)
-    keys = set(map(model_and_index, requests))
-    if len(keys) < len(requests):
-        model, index = next(k for k, n in Counter(map(model_and_index, requests)).items() if n > 1)
-        raise ConfigError(f"timeline CSV has more than one row for {model} request_index {index}")
-    for model, n in Counter(map(itemgetter(0), requests)).items():
-        index = next((i for i in range(n) if (model, i) not in keys), None)
-        if index is not None:
-            raise ConfigError(f"timeline CSV has no row for {model} request_index {index}")
 
 
 def log_from_csv(fh, scenario: str = "") -> EventLog:
@@ -456,6 +441,8 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
             end = round(float(t_end) * US_PER_MS) if t_end else None
             if st == COMPLETED and not r.t_req_us <= start <= end:
                 raise ValueError("a completed request needs t_req_ms <= t_start_ms <= t_end_ms")
+            if r.request_index < 0:
+                raise ValueError(f"request_index must be >= 0, not {r.request_index}")
             requests.append(r)
             unit.append(ids.setdefault(u, u) if u else None)
             t_start_us.append(start)
@@ -464,8 +451,7 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
             energy_mj.append(float(energy))
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"timeline CSV line {reader.line_num}: {exc}") from None
-    _check_request_indices(requests)
-    return EventLog(
+    log = EventLog(
         scenario=scenario,
         hardware="",
         seed=0,
@@ -477,6 +463,17 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
         status=status,
         energy_mj=energy_mj,
     )
+    # Each model has one row per request index 0..n-1. Its positions are sorted
+    # by request index, so the first position i that holds another index is
+    # the model's first fault: a repeat of i-1, or a gap at i.
+    for model, ps in log.positions.items():  # models in first-appearance order
+        for i, p in enumerate(ps):
+            index = requests[p].request_index
+            if index < i:
+                raise ConfigError(f"timeline CSV has more than one row for {model} request_index {index}")
+            if index > i:
+                raise ConfigError(f"timeline CSV has no row for {model} request_index {i}")
+    return log
 
 
 def log_to_obj(log: EventLog) -> dict:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping
 
 from .errors import ConfigError
@@ -127,12 +128,6 @@ class UsageScenario:
     def model_ids(self) -> tuple[str, ...]:
         return tuple(e.model for e in self.entries)
 
-    def entry(self, model_id: str) -> ScenarioEntry:
-        for e in self.entries:
-            if e.model == model_id:
-                return e
-        raise KeyError(model_id)
-
     def edges(self) -> tuple[DependencyEdge, ...]:
         return tuple(edge for e in self.entries for edge in e.dependencies)
 
@@ -201,30 +196,15 @@ def validate_scenario(
         for edge in entry.dependencies:
             if edge.upstream not in present:
                 violations.append(f"dangling dependency: {edge.key} ({edge.upstream!r} absent)")
-    if _has_cycle(scenario):
+    sorter = TopologicalSorter()
+    for edge in scenario.edges():
+        if edge.upstream in present:
+            sorter.add(edge.downstream, edge.upstream)
+    try:
+        sorter.prepare()
+    except CycleError:
         violations.append("dependency cycle")
     return violations
-
-
-def _has_cycle(scenario: UsageScenario) -> bool:
-    adjacent: dict[str, list[str]] = {m: [] for m in scenario.model_ids}
-    for edge in scenario.edges():
-        if edge.upstream in adjacent and edge.downstream in adjacent:
-            adjacent[edge.upstream].append(edge.downstream)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {m: WHITE for m in adjacent}
-
-    def visit(node: str) -> bool:
-        color[node] = GRAY
-        for nxt in adjacent[node]:
-            if color[nxt] == GRAY:
-                return True
-            if color[nxt] == WHITE and visit(nxt):
-                return True
-        color[node] = BLACK
-        return False
-
-    return any(color[m] == WHITE and visit(m) for m in adjacent)
 
 
 def accuracy_goal(model: UnitModel) -> float:

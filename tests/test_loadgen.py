@@ -11,11 +11,9 @@ from mmtsim import runtime
 from mmtsim.costmodel import preset_system
 from mmtsim.loadgen import (
     InferenceRequest,
-    deadline,
     det_rand,
     generate_requests,
     jitter_offset,
-    request_time,
     select_frames,
     target_count,
 )
@@ -66,21 +64,29 @@ def test_jitter_centered_variate_gives_zero():
     assert abs(mean) < 0.005
 
 
+def _one_model_requests(source: InputSource, target_rate: float) -> tuple[InferenceRequest, ...]:
+    """The 1 s stream, at seed 0, of one model that samples `source` alone at `target_rate`."""
+    models = {"X": UnitModel(id="X", task_tag="t", input_sources=(source.id,))}
+    scenario = UsageScenario(id="s", entries=(ScenarioEntry(model="X", target_rate=target_rate),))
+    return generate_requests(scenario, {source.id: source}, models, 1.0, seed=0).requests
+
+
 def test_request_time_examples():
-    assert request_time(QUIET_CAMERA, 2, 0) == pytest.approx(2 * 1000 / 60, abs=1e-3)
+    assert _one_model_requests(QUIET_CAMERA, 60.0)[2].t_req_ms == pytest.approx(2 * 1000 / 60, abs=1e-3)
     mic = InputSource("microphone", streaming_rate=3.0)
-    assert request_time(mic, 0, 0) == 0.0
+    assert _one_model_requests(mic, 3.0)[0].t_req_ms == 0.0
     delayed = InputSource("cam", streaming_rate=60.0, init_latency=5.0)
-    assert request_time(delayed, 0, 0) == pytest.approx(5.0)
+    assert _one_model_requests(delayed, 60.0)[0].t_req_ms == pytest.approx(5.0)
 
 
 def test_deadline_examples():
-    ht = ScenarioEntry(model="HT", target_rate=30.0)
-    assert deadline(ht, 0) == pytest.approx(1000 / 30, abs=1e-3)
-    es = ScenarioEntry(model="ES", target_rate=60.0)
-    assert deadline(es, 1) == pytest.approx(2 * 1000 / 60, abs=1e-3)
-    slow = ScenarioEntry(model="X", target_rate=1.0)
-    assert deadline(slow, 0) == pytest.approx(1000.0)
+    assert _one_model_requests(QUIET_CAMERA, 30.0)[0].t_dl_ms == pytest.approx(1000 / 30, abs=1e-3)
+    assert _one_model_requests(QUIET_CAMERA, 60.0)[1].t_dl_ms == pytest.approx(2 * 1000 / 60, abs=1e-3)
+    assert _one_model_requests(QUIET_CAMERA, 1.0)[0].t_dl_ms == pytest.approx(1000.0)
+    # a jittered source moves arrivals, never deadlines
+    jittered, quiet = _one_model_requests(CAMERA, 30.0), _one_model_requests(QUIET_CAMERA, 30.0)
+    assert [r.t_dl_us for r in jittered] == [r.t_dl_us for r in quiet]
+    assert [r.t_req_us for r in jittered] != [r.t_req_us for r in quiet]
 
 
 def test_frame_selection_every_other_at_half_rate():
@@ -142,7 +148,7 @@ def test_multi_modal_request_time_is_max_over_sources():
     scenario = UsageScenario(id="s", entries=(ScenarioEntry(model="DR", target_rate=30.0),))
     stream = generate_requests(scenario, sources, models, 1.0, seed=0)
     first = stream.requests[0]
-    assert first.t_req_ms == pytest.approx(request_time(sources["lidar"], first.frame_index, 0))
+    assert first.t_req_ms == pytest.approx(4.0 + first.frame_index * 1000 / 60, abs=1e-3)  # lidar starts 4 ms later
 
 
 def test_invalid_scenario_rejected():

@@ -2,7 +2,7 @@
 
 The reference selects frames with an exact-rational rate accumulator, one
 source frame at a time, and recomputes every request's arrival as the
-latest `request_time` over the model's sources, with no memo. The seeded
+latest of its sources' arrivals, each by its own formula, with no memo. The seeded
 setups mix rates that are not whole numbers (29.97, 1000/3), targets 1e-12
 above the source rate, multi-source models whose sources start at
 different times, and 0.5 ms of jitter at zero init latency, which puts
@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 
 from mmtsim import InputSource, ScenarioEntry, UnitModel, UsageScenario
-from mmtsim.loadgen import deadline, generate_requests, request_time, select_frames, target_count
+from mmtsim.loadgen import generate_requests, jitter_offset, select_frames, target_count
 
 SOURCE_RATES = [29.97, 1000 / 3, 25.0, 30.0, 59.94, 60.0, 90.0]
 TARGET_RATES = [0.5, 1.0, 3.0, 10.0, 15.0, 29.97, 30.0, 45.0, 59.94, 60.0, 1000 / 3]
@@ -35,6 +35,17 @@ def reference_select_frames(target_rate: float, streaming_rate: float, count: in
     return frames
 
 
+def reference_arrival_us(source: InputSource, frame: int, seed: int) -> int:
+    """Init latency + frame period + jitter offset, each rounded to whole µs."""
+    period_us = round(frame * 1_000_000 / source.streaming_rate)
+    return round(source.init_latency * 1000) + period_us + round(jitter_offset(source, frame, seed) * 1000)
+
+
+def reference_deadline_us(target_rate: float, k: int, init_ms: float) -> int:
+    """Init latency + (k+1) target periods, each rounded to whole µs."""
+    return round(init_ms * 1000) + round((k + 1) * 1_000_000 / target_rate)
+
+
 def reference_requests(scenario, sources, models, duration, seed):
     """(model, frame, request index, t_req µs, t_dl µs) rows in stream order, and the counts."""
     rows = []
@@ -46,9 +57,9 @@ def reference_requests(scenario, sources, models, duration, seed):
         frames = reference_select_frames(entry.target_rate, min(s.streaming_rate for s in srcs), count)
         init_ms = max(s.init_latency for s in srcs)
         for k, frame in enumerate(frames):
-            t_req_ms = max(request_time(s, frame, seed) for s in srcs)
-            t_dl_ms = deadline(entry, k, init_ms)
-            rows.append((entry.model, frame, k, round(t_req_ms * 1000), round(t_dl_ms * 1000)))
+            t_req_us = max(reference_arrival_us(s, frame, seed) for s in srcs)
+            t_dl_us = reference_deadline_us(entry.target_rate, k, init_ms)
+            rows.append((entry.model, frame, k, t_req_us, t_dl_us))
     rows.sort(key=lambda row: (row[3], row[0], row[1]))
     return rows, counts
 

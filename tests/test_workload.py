@@ -37,13 +37,18 @@ def test_builtin_rates_and_microphone():
             assert entry.target_rate in {60, 45, 30, 10, 3}
 
 
+def _entry(scenario: UsageScenario, model: str) -> ScenarioEntry:
+    (entry,) = (e for e in scenario.entries if e.model == model)
+    return entry
+
+
 def test_builtin_trigger_probabilities():
     suite = builtin_suite()
     for sid, expected in [("outdoor-activity-a", 0.2), ("outdoor-activity-b", 0.2), ("ar-assistant", 0.5)]:
-        (edge,) = suite.scenario(sid).entry("SR").dependencies
+        (edge,) = _entry(suite.scenario(sid), "SR").dependencies
         assert edge.upstream == "KD"
         assert edge.trigger_probability == expected
-    (es_ge,) = suite.scenario("vr-gaming").entry("GE").dependencies
+    (es_ge,) = _entry(suite.scenario("vr-gaming"), "GE").dependencies
     assert es_ge.trigger_probability == 1.0
 
 
@@ -131,7 +136,7 @@ def test_suite_file_roundtrip():
 def test_with_edge_probability():
     vr = builtin_suite().scenario("vr-gaming")
     swept = with_edge_probability(vr, "ES", "GE", 0.25)
-    (edge,) = swept.entry("GE").dependencies
+    (edge,) = _entry(swept, "GE").dependencies
     assert edge.trigger_probability == 0.25
     with pytest.raises(ConfigError):
         with_edge_probability(vr, "KD", "SR", 0.5)
