@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ConfigError
-from .workload import SCHEMA_VERSION, UnitModel, load_json_file
+from .workload import SCHEMA_VERSION, UnitModel, check_id, json_number, load_json_file
 
 FDA = "FDA"
 SFDA = "SFDA"
@@ -32,6 +32,7 @@ class HardwareUnit:
     power_watts: float = 1.0
 
     def __post_init__(self) -> None:
+        check_id("unit", self.id)
         if isinstance(self.pe_count, bool) or not isinstance(self.pe_count, int):
             raise ConfigError(f"unit {self.id!r}: pe_count must be an integer, not {self.pe_count!r}")
         if self.pe_count <= 0:
@@ -51,6 +52,7 @@ class HardwareSystem:
     units: tuple[HardwareUnit, ...]
 
     def __post_init__(self) -> None:
+        check_id("system", self.id)
         if not self.units:
             raise ConfigError(f"system {self.id!r}: needs at least one unit")
         ids = [u.id for u in self.units]
@@ -212,8 +214,8 @@ def system_from_obj(obj: Mapping) -> HardwareSystem:
                     id=u["id"],
                     dataflow=u["dataflow"],
                     pe_count=u["pe_count"],
-                    clock_ghz=float(u.get("clock_ghz", 1.0)),
-                    power_watts=float(u.get("power_watts", 1.0)),
+                    clock_ghz=json_number(u, "clock_ghz", 1.0),
+                    power_watts=json_number(u, "power_watts", 1.0),
                 )
                 for u in obj["units"]
             ),
@@ -243,12 +245,12 @@ def table_from_obj(obj: Mapping) -> CostTable:
             CostEntry(
                 model=e["model"],
                 unit=e["unit"],
-                latency_ms=float(e["latency_ms"]),
-                energy_mj=float(e["energy_mj"]),
+                latency_ms=json_number(e, "latency_ms"),
+                energy_mj=json_number(e, "energy_mj"),
             )
             for e in obj["entries"]
         ]
-        return CostTable(entries, e_max_mj=float(obj["e_max_mj"]))
+        return CostTable(entries, e_max_mj=json_number(obj, "e_max_mj"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed cost table: {exc}") from exc
 

@@ -20,6 +20,25 @@ HIGHER_IS_BETTER = "higher-is-better"
 LOWER_IS_BETTER = "lower-is-better"
 
 
+def check_id(kind: str, value) -> None:
+    """A ConfigError unless `value`, the id of a `kind`, is a string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{kind} id must be a string, not {value!r}")
+
+
+def json_number(obj: Mapping, key: str, default: float | None = None) -> float:
+    """`obj[key]`, or `default` when one is given and the key is absent, as a
+    float. It must be a JSON number, an int or a float but not a bool, else a
+    TypeError naming the key, which each file parser reports as malformed."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{key} is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class InputSource:
     """A sensor stream feeding one or more models.
@@ -33,6 +52,7 @@ class InputSource:
     max_jitter: float = 0.0
 
     def __post_init__(self) -> None:
+        check_id("input source", self.id)
         if not 0 < self.streaming_rate < math.inf:
             raise ConfigError(f"input source {self.id!r}: streaming_rate must be finite and > 0")
         if not 0 <= self.init_latency < math.inf:
@@ -61,6 +81,7 @@ class UnitModel:
     flops: float | None = None
 
     def __post_init__(self) -> None:
+        check_id("model", self.id)
         if not self.input_sources:
             raise ConfigError(f"model {self.id!r}: needs at least one input source")
         if self.metric_direction not in (HIGHER_IS_BETTER, LOWER_IS_BETTER):
@@ -118,6 +139,7 @@ class UsageScenario:
     entries: tuple[ScenarioEntry, ...]
 
     def __post_init__(self) -> None:
+        check_id("scenario", self.id)
         if not self.entries:
             raise ConfigError(f"scenario {self.id!r}: needs at least one entry")
         ids = [e.model for e in self.entries]
@@ -404,9 +426,9 @@ def config_from_obj(obj: Mapping) -> SuiteConfig:
         sources = {
             s["id"]: InputSource(
                 id=s["id"],
-                streaming_rate=float(s["streaming_rate"]),
-                init_latency=float(s.get("init_latency_ms", 0.0)),
-                max_jitter=float(s.get("max_jitter_ms", 0.0)),
+                streaming_rate=json_number(s, "streaming_rate"),
+                init_latency=json_number(s, "init_latency_ms", 0.0),
+                max_jitter=json_number(s, "max_jitter_ms", 0.0),
             )
             for s in obj["input_sources"]
         }
@@ -417,10 +439,10 @@ def config_from_obj(obj: Mapping) -> SuiteConfig:
                 input_sources=tuple(m["input_sources"]),
                 dataset_tag=m.get("dataset_tag", ""),
                 accuracy_metric_id=m.get("accuracy_metric_id", ""),
-                reported_metric=float(m.get("reported_metric", 1.0)),
+                reported_metric=json_number(m, "reported_metric", 1.0),
                 metric_direction=m.get("metric_direction", HIGHER_IS_BETTER),
                 achieved_metric=m.get("achieved_metric"),
-                flops=m.get("flops"),
+                flops=None if m.get("flops") is None else json_number(m, "flops"),
             )
             for m in obj["models"]
         }
@@ -432,12 +454,12 @@ def config_from_obj(obj: Mapping) -> SuiteConfig:
                     DependencyEdge(
                         upstream=d["upstream"],
                         downstream=e["model"],
-                        trigger_probability=float(d.get("trigger_probability", 1.0)),
+                        trigger_probability=json_number(d, "trigger_probability", 1.0),
                     )
                     for d in e.get("dependencies", ())
                 )
                 entries.append(
-                    ScenarioEntry(model=e["model"], target_rate=float(e["target_rate"]), dependencies=deps)
+                    ScenarioEntry(model=e["model"], target_rate=json_number(e, "target_rate"), dependencies=deps)
                 )
             scenarios.append(UsageScenario(id=s["id"], entries=tuple(entries)))
     except (KeyError, TypeError, ValueError) as exc:

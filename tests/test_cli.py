@@ -277,6 +277,57 @@ def test_non_integer_hardware_pe_count_is_a_config_error(tmp_path, capsys, value
     assert err.startswith("error: ") and f"pe_count must be an integer, not {value!r}" in err
 
 
+# (file option, an edit of the file's object, message)
+WRONGLY_TYPED_FIELDS = {
+    "hw-unit-id": ("--hw", lambda o: o["units"][0].update(id=5), "unit id must be a string, not 5"),
+    "hw-system-id": ("--hw", lambda o: o.update(id=5), "system id must be a string, not 5"),
+    "suite-model-renamed": (
+        "--suite",
+        lambda o: o.update(json.loads(json.dumps(o).replace('"HT"', "5"))),
+        "model id must be a string, not 5",
+    ),
+    "suite-scenario-id": ("--suite", lambda o: o["scenarios"][0].update(id=7), "scenario id must be a string, not 7"),
+    "suite-source-id": ("--suite", lambda o: o["input_sources"][0].update(id=3), "input source id must be a string"),
+    "suite-target-rate-true": (
+        "--suite",
+        lambda o: o["scenarios"][0]["entries"][0].update(target_rate=True),
+        "target_rate must be a number, not True",
+    ),
+    "suite-flops-true": ("--suite", lambda o: o["models"][0].update(flops=True), "flops must be a number, not True"),
+    "suite-rate-beyond-float": (
+        "--suite",
+        lambda o: o["input_sources"][0].update(streaming_rate=10**400),
+        "streaming_rate is too large for a float",
+    ),
+    "hw-clock-string": ("--hw", lambda o: o["units"][0].update(clock_ghz="2"), "clock_ghz must be a number, not '2'"),
+    "costs-emax-string": ("--costs", lambda o: o.update(e_max_mj="50"), "e_max_mj must be a number, not '50'"),
+    "costs-latency-string": (
+        "--costs",
+        lambda o: o["entries"][0].update(latency_ms="0.5"),
+        "latency_ms must be a number, not '0.5'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WRONGLY_TYPED_FIELDS)
+def test_wrongly_typed_id_or_number_in_a_file_is_a_config_error(tmp_path, capsys, case):
+    flag, edit, message = WRONGLY_TYPED_FIELDS[case]
+    config, hw = builtin_config(), preset_system("J")
+    obj = {
+        "--costs": table_to_obj(synthetic_table(config.models, hw)),
+        "--hw": system_to_obj(hw),
+        "--suite": config_to_obj(config),
+    }[flag]
+    edit(obj)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code = main(["run", "--hw", "preset:J", "--synthetic", "--duration", "1", flag, str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("flag", ["--suite", "--hw", "--costs"])
 def test_malformed_json_file_is_a_config_error(tmp_path, capsys, flag):
     bad = tmp_path / "bad.json"
@@ -334,6 +385,19 @@ def test_malformed_json_file_is_a_config_error(tmp_path, capsys, flag):
             "ES,2,2,u0-ws,33.3,34.0,35.0,50.0,completed,0.1\n",
             "timeline CSV has no row for ES request_index 1",
         ),
+        (  # the first fault in model first-appearance order: ES's gap, then HT's repeat
+            "model,request_index,frame_index,unit,t_req_ms,t_start_ms,t_end_ms,t_dl_ms,status,energy_mj\n"
+            "ES,1,1,u0-ws,16.7,17.0,18.0,33.3,completed,0.1\n"
+            "HT,0,0,u0-ws,0.0,2.0,3.0,33.3,completed,0.1\n"
+            "HT,0,0,u0-ws,0.0,2.0,3.0,33.3,completed,0.1\n",
+            "timeline CSV has no row for ES request_index 0",
+        ),
+        (
+            "model,request_index,frame_index,unit,t_req_ms,t_start_ms,t_end_ms,t_dl_ms,status,energy_mj\n"
+            "HT,0,0,u0-ws,0.0,1.0,2.0,22.2,completed,0.1\n"
+            "HT,-1,2,,33.3,,,55.5,dropped,0.0\n",
+            "line 3: request_index must be >= 0, not -1",
+        ),
     ],
     ids=[
         "missing-column",
@@ -344,6 +408,8 @@ def test_malformed_json_file_is_a_config_error(tmp_path, capsys, flag):
         "start-before-request",
         "repeated-row",
         "missing-row",
+        "gap-before-a-later-repeat",
+        "negative-request-index",
     ],
 )
 def test_malformed_timeline_csv_is_a_config_error(tmp_path, capsys, text, message):

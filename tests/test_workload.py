@@ -91,6 +91,23 @@ def test_cycle_is_a_violation():
     assert any("cycle" in v for v in validate_scenario(scenario, sources, models))
 
 
+def _chain(n: int, closed: bool):
+    """n models, each depending on the one before it; `closed` makes the first depend on the last."""
+    ids = [f"m{i}" for i in range(n)]
+    models = {m: UnitModel(id=m, task_tag="t", input_sources=("cam",)) for m in ids}
+    entries = tuple(
+        ScenarioEntry(model=m, target_rate=30.0, dependencies=(DependencyEdge(ids[i - 1], m),) if i or closed else ())
+        for i, m in enumerate(ids)
+    )
+    return _toy(models=models, entries=entries)
+
+
+@pytest.mark.parametrize("closed, expected", [(False, []), (True, ["dependency cycle"])], ids=["chain", "cycle"])
+def test_a_dependency_chain_longer_than_the_recursion_limit_is_checked(closed, expected):
+    scenario, sources, models = _chain(1200, closed)
+    assert validate_scenario(scenario, sources, models) == expected
+
+
 def test_unknown_source_is_a_violation():
     models = {"A": UnitModel(id="A", task_tag="t", input_sources=("nope",))}
     scenario, sources, models = _toy(models=models)
