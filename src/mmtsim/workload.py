@@ -27,9 +27,10 @@ def check_id(kind: str, value) -> None:
 
 
 def json_number(obj: Mapping, key: str, default: float | None = None) -> float:
-    """`obj[key]`, or `default` when one is given and the key is absent, as a
-    float. It must be a JSON number, an int or a float but not a bool, else a
-    TypeError naming the key, which each file parser reports as malformed."""
+    """`obj[key]` as a float, or `default` when one is given and the key is
+    absent. The value must be a JSON number (an int or a float, not a bool);
+    anything else raises a TypeError naming the key, which each file parser
+    reports as malformed."""
     value = obj[key] if default is None else obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{key} must be a number, not {value!r}")
