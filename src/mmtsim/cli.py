@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from . import costmodel, loadgen, runtime, scoring, workload
@@ -85,10 +86,7 @@ def _resolved_config_obj(args, hw, table, cfg) -> dict:
         "policy": args.policy,
         "duration_s": args.duration,
         "seed": args.seed,
-        "scoring": {
-            "k": cfg.k,
-            "e_max_mj": cfg.e_max_mj,
-        },
+        "scoring": asdict(cfg),
     }
 
 

@@ -8,7 +8,7 @@ roofline-style synthetic generator below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 from .errors import ConfigError
@@ -191,16 +191,7 @@ def system_to_obj(system: HardwareSystem) -> dict:
         "schema_version": SCHEMA_VERSION,
         "id": system.id,
         "style": system.style,
-        "units": [
-            {
-                "id": u.id,
-                "dataflow": u.dataflow,
-                "pe_count": u.pe_count,
-                "clock_ghz": u.clock_ghz,
-                "power_watts": u.power_watts,
-            }
-            for u in system.units
-        ],
+        "units": [asdict(u) for u in system.units],
     }
 
 
@@ -232,10 +223,7 @@ def table_to_obj(table: CostTable) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "e_max_mj": table.e_max_mj,
-        "entries": [
-            {"model": e.model, "unit": e.unit, "latency_ms": e.latency_ms, "energy_mj": e.energy_mj}
-            for e in table.entries()
-        ],
+        "entries": [asdict(e) for e in table.entries()],
     }
 
 

@@ -46,7 +46,7 @@ import csv
 import heapq
 import weakref
 from bisect import bisect_right, insort
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -74,8 +74,9 @@ class TimelineEntry(NamedTuple):
     energy_mj: float
 
 
-@dataclass(frozen=True)
-class ModelCounts:
+class ModelCounts(NamedTuple):
+    """One model's request totals; `log_to_obj` writes the fields in this order."""
+
     n_total: int
     n_processed: int
     n_dropped: int
@@ -484,5 +485,5 @@ def log_to_obj(log: EventLog) -> dict:
         "hardware": log.hardware,
         "seed": log.seed,
         "duration_s": log.duration,
-        "counts": {m: asdict(c) for m, c in sorted(log.counts.items())},
+        "counts": {m: c._asdict() for m, c in sorted(log.counts.items())},
     }

@@ -13,8 +13,8 @@ order, then suite scenario order) so reports are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ScoringError
 from .runtime import COMPLETED, EventLog
@@ -102,8 +102,9 @@ def per_inference_score(rt: float, en: float, acc: float) -> float:
     return rt * en * acc
 
 
-@dataclass(frozen=True)
-class ModelReport:
+class ModelReport(NamedTuple):
+    """One model's scores and counts; `report_to_obj` writes the fields in this order."""
+
     rt_mean: float
     en_mean: float
     acc_mean: float
@@ -161,11 +162,7 @@ def model_report(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> ModelRe
         acc_mean=acc_sum / n if n else 0.0,
         model_score=product_sum / n if n else 0.0,
         qoe=qoe,
-        n_total=counts.n_total,
-        n_processed=counts.n_processed,
-        n_dropped=counts.n_dropped,
-        n_untriggered=counts.n_untriggered,
-        n_sat=counts.n_sat,
+        **counts._asdict(),
     )
 
 
@@ -234,28 +231,11 @@ def build_report(
 def report_to_obj(report: ScoreReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "scoring_config": {
-            "k": report.config.k,
-            "e_max_mj": report.config.e_max_mj,
-        },
+        "scoring_config": asdict(report.config),
         "scenarios": {
             sid: {
                 "scenario_score": srep.scenario_score,
-                "models": {
-                    mid: {
-                        "rt_mean": m.rt_mean,
-                        "en_mean": m.en_mean,
-                        "acc_mean": m.acc_mean,
-                        "model_score": m.model_score,
-                        "qoe": m.qoe,
-                        "n_total": m.n_total,
-                        "n_processed": m.n_processed,
-                        "n_dropped": m.n_dropped,
-                        "n_untriggered": m.n_untriggered,
-                        "n_sat": m.n_sat,
-                    }
-                    for mid, m in srep.models.items()
-                },
+                "models": {mid: m._asdict() for mid, m in srep.models.items()},
             }
             for sid, srep in report.scenarios.items()
         },

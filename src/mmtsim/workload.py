@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping
 
@@ -384,20 +384,7 @@ def config_to_obj(config: SuiteConfig) -> dict:
             }
             for s in config.sources.values()
         ],
-        "models": [
-            {
-                "id": m.id,
-                "task_tag": m.task_tag,
-                "input_sources": list(m.input_sources),
-                "dataset_tag": m.dataset_tag,
-                "accuracy_metric_id": m.accuracy_metric_id,
-                "reported_metric": m.reported_metric,
-                "metric_direction": m.metric_direction,
-                "achieved_metric": m.achieved_metric,
-                "flops": m.flops,
-            }
-            for m in config.models.values()
-        ],
+        "models": [{**asdict(m), "input_sources": list(m.input_sources)} for m in config.models.values()],
         "scenarios": [
             {
                 "id": s.id,
