@@ -33,10 +33,16 @@ class HardwareUnit:
 
     def __post_init__(self) -> None:
         check_id("unit", self.id)
+        if self.dataflow not in ("WS", "OS", "RS"):
+            raise ConfigError(f"unit {self.id!r}: dataflow must be one of WS, OS, RS, not {self.dataflow!r}")
         if isinstance(self.pe_count, bool) or not isinstance(self.pe_count, int):
             raise ConfigError(f"unit {self.id!r}: pe_count must be an integer, not {self.pe_count!r}")
         if self.pe_count <= 0:
             raise ConfigError(f"unit {self.id!r}: pe_count must be > 0")
+        try:
+            float(self.pe_count)
+        except OverflowError:
+            raise ConfigError(f"unit {self.id!r}: pe_count is too large for a float") from None
         if not 0 < self.clock_ghz < math.inf:
             raise ConfigError(f"unit {self.id!r}: clock_ghz must be finite and > 0")
         if not math.isfinite(self.power_watts):
@@ -53,6 +59,8 @@ class HardwareSystem:
 
     def __post_init__(self) -> None:
         check_id("system", self.id)
+        if self.style not in (FDA, SFDA, HDA):
+            raise ConfigError(f"system {self.id!r}: style must be one of FDA, SFDA, HDA, not {self.style!r}")
         if not self.units:
             raise ConfigError(f"system {self.id!r}: needs at least one unit")
         ids = [u.id for u in self.units]

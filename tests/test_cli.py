@@ -306,6 +306,23 @@ WRONGLY_TYPED_FIELDS = {
         lambda o: o["entries"][0].update(latency_ms="0.5"),
         "latency_ms must be a number, not '0.5'",
     ),
+    "hw-pe-count-beyond-float": (
+        "--hw",
+        lambda o: o["units"][0].update(pe_count=10**400),
+        "pe_count is too large for a float",
+    ),
+    "hw-style-number": ("--hw", lambda o: o.update(style=7), "style must be one of FDA, SFDA, HDA, not 7"),
+    "hw-style-unknown": ("--hw", lambda o: o.update(style="XYZ"), "style must be one of FDA, SFDA, HDA, not 'XYZ'"),
+    "hw-dataflow-number": (
+        "--hw",
+        lambda o: o["units"][0].update(dataflow=7),
+        "dataflow must be one of WS, OS, RS, not 7",
+    ),
+    "hw-dataflow-list": (
+        "--hw",
+        lambda o: o["units"][0].update(dataflow=["WS"]),
+        "dataflow must be one of WS, OS, RS, not ['WS']",
+    ),
 }
 
 
@@ -325,7 +342,7 @@ def test_wrongly_typed_id_or_number_in_a_file_is_a_config_error(tmp_path, capsys
                  "--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--suite", "--hw", "--costs"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -10,9 +11,11 @@ from mmtsim.costmodel import (
     load_hardware_file,
     preset_system,
     synthetic_cost,
+    synthetic_table,
     system_to_obj,
     table_to_obj,
 )
+from mmtsim.workload import builtin_models
 
 
 MODEL = UnitModel(id="HT", task_tag="t", input_sources=("cam",), flops=1e9)
@@ -107,3 +110,17 @@ def test_file_roundtrips(tmp_path):
     back = load_cost_table_file(table_path)
     assert back.e_max_mj == table.e_max_mj
     assert back.entries() == table.entries()
+
+
+def test_hardware_and_cost_files_keep_their_bytes():
+    # The writers take their keys from the records' field order; these
+    # SHA-256 digests of the written text pin it.
+    hw = preset_system("K", total_pes=2048)
+    system_text = json.dumps(system_to_obj(hw), indent=2)
+    table_text = json.dumps(table_to_obj(synthetic_table(builtin_models(), hw)), indent=2)
+    assert hashlib.sha256(system_text.encode()).hexdigest() == (
+        "1647f8bef8ea7e967d2d8f41e76a358f977eed810f6c1dd0b4403e7fa0baee37"
+    )
+    assert hashlib.sha256(table_text.encode()).hexdigest() == (
+        "224b81feae44a2eee74c621e1d32bafcd28b16b1107ec002c8a7165207e47c87"
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -148,6 +149,15 @@ def test_suite_file_roundtrip():
     assert back.suite == config.suite
     assert dict(back.sources) == dict(config.sources)
     assert dict(back.models) == dict(config.models)
+
+
+def test_exported_suite_keeps_its_bytes():
+    # The text `mmtsim export-suite` prints; the model keys come from
+    # UnitModel's field order.
+    text = json.dumps(config_to_obj(builtin_config()), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "34be2cc3398317af90e191cc7c5e1dd74f2656c0627777e271818ef8b898fabc"
+    )
 
 
 def test_with_edge_probability():
