@@ -27,17 +27,18 @@ stream = generate_requests(scenario, config.sources, config.models, 1.0, seed=0)
 log = simulate(scenario, stream, hw, costs)
 
 print(f"{'t_req':>8s} {'model':>5s} {'frame':>5s} {'unit':>7s} {'t_start':>8s} {'t_end':>8s}  status")
-for entry in sorted(log.entries, key=lambda e: (e.request.t_req_us, e.request.model)):
-    r = entry.request
+# the log's columns are indexed by stream position, and the stream is in time order
+columns = zip(log.requests, log.unit, log.t_start_us, log.t_end_us, log.status)
+for r, unit, t_start_us, t_end_us, status in columns:
     if r.t_req_ms > 100.0:
         break
-    start = f"{entry.t_start_us / 1000:8.3f}" if entry.t_start_us is not None else " " * 8
-    end = f"{entry.t_end_us / 1000:8.3f}" if entry.t_end_us is not None else " " * 8
-    unit = entry.unit or ""
-    print(f"{r.t_req_ms:8.3f} {r.model:>5s} {r.frame_index:5d} {unit:>7s} {start} {end}  {entry.status}")
+    start = f"{t_start_us / 1000:8.3f}" if t_start_us is not None else " " * 8
+    end = f"{t_end_us / 1000:8.3f}" if t_end_us is not None else " " * 8
+    print(f"{r.t_req_ms:8.3f} {r.model:>5s} {r.frame_index:5d} {unit or '':>7s} {start} {end}  {status}")
 
 ht_frames = [r.frame_index for r in stream.requests if r.model == "HT"][:8]
 print(f"\nHT frames (every other camera frame): {ht_frames}...")
-es_end = {e.request.frame_index: e.t_end_us for e in log.by_model("ES")}
-ok = all(e.t_start_us >= es_end[e.request.frame_index] for e in log.by_model("GE"))
+frame = [r.frame_index for r in log.requests]
+es_end = {frame[p]: log.t_end_us[p] for p in log.positions["ES"]}
+ok = all(log.t_start_us[p] >= es_end[frame[p]] for p in log.positions["GE"])
 print(f"every GE launch waited for its frame's ES completion: {ok}")

@@ -17,7 +17,7 @@ from .loadgen import (
     det_rand,
     generate_requests,
 )
-from .runtime import EventLog, TimelineEntry, simulate, validate_schedule
+from .runtime import EventLog, simulate, validate_schedule
 from .scoring import ScoreReport, ScoringConfig, build_report
 from .workload import (
     BenchmarkSuite,

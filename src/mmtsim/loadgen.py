@@ -86,12 +86,29 @@ class InferenceRequest(NamedTuple):
 
 @dataclass(frozen=True)
 class RequestStream:
-    """All requests of one scenario over the benchmark window, sorted by time."""
+    """All requests of one scenario over the benchmark window in dispatch order:
+    by request time, then model, then request index. In that order a model's
+    requests must be its request indices 0, 1, 2, … with rising frames."""
 
     scenario: str
     duration: float
     seed: int
     requests: tuple[InferenceRequest, ...]
+
+    def __post_init__(self) -> None:
+        requests = tuple(sorted(self.requests, key=itemgetter(3, 0, 2)))
+        object.__setattr__(self, "requests", requests)
+        last: dict[str, InferenceRequest] = {}  # model -> its latest request so far
+        for r in requests:
+            prev = last.get(r.model)
+            i = 0 if prev is None else prev.request_index + 1
+            if r.request_index != i or (i and r.frame_index <= prev.frame_index):
+                after = "" if prev is None else f" after frame {prev.frame_index}"
+                raise ConfigError(
+                    f"request stream: {r.model} request_index {r.request_index} (frame {r.frame_index}) "
+                    f"comes where request_index {i}{after} should"
+                )
+            last[r.model] = r
 
 
 def select_frames(target_rate: float, streaming_rate: float, count: int) -> list[int]:
@@ -156,6 +173,5 @@ def generate_requests(
             t_req = max(times)
             t_dl = _deadline_us(entry.target_rate, k, init_ms)
             requests.append(InferenceRequest(entry.model, frame, k, t_req, t_dl))
-    requests.sort(key=itemgetter(3, 0, 1))  # (t_req_us, model, frame_index)
     return RequestStream(scenario=scenario.id, duration=duration, seed=seed, requests=tuple(requests))
 

@@ -5,9 +5,10 @@ its frame has completed, and every probabilistic gate has fired true.
 Launched inferences run to completion (no preemption). A request that has
 not launched when the next request of the same model arrives is dropped.
 
-Events: arrivals are sorted once by (request time, model, request index)
-and walked with a cursor; only running inferences sit in a heap of
-(end time, unit rank, stream position), at most one entry per unit. At
+Events: a cursor walks the stream, which is in dispatch order (request time,
+model, request index) and gives each model its request indices 0, 1, 2, ...
+in turn, so an arrival drops whatever its model has waiting. Running
+inferences sit in a heap of (end time, unit rank, stream position). At
 equal timestamps, completions free their units in unit id order and
 resolve the gates downstream of them, then arrivals apply the drop rule,
 then free units, lowest id first, each take one ready request by the policy.
@@ -24,16 +25,15 @@ State: per-request state lives in flat lists indexed by stream position.
 What depends on the stream alone comes from a per-stream plan, built once
 per edge shape (the scenario's (downstream, upstream) model pairs) and kept
 in this module while the stream object lives: the columns `model_of`,
-`index_of` and `dl_of` (each position's model, request index and deadline),
-the arrival order and the dependency anchors. Anchors name edges by number,
-so each run gates with its own scenario's edges. The event loop, the drop
-rule and both policies read the columns, not the requests' attributes; a run
-copies the plan's counts of unresolved dependencies and changes nothing else
-in it. The stream itself is not touched.
-A request's status is set exactly once, when it launches (completed) or
-fails (dropped or untriggered); requests still waiting when the stream
-runs out are dropped. A failed anchor never completes, so its edges never
-fire and its dependents never launch.
+`req_of` and `dl_of` (each position's model, request time and deadline) and
+the dependency anchors. Anchors name edges by number, so each run gates with
+its own scenario's edges. The event loop, the drop rule and both policies
+read the columns, not the requests' attributes; a run copies the plan's
+counts of unresolved dependencies and changes nothing else in it. The stream
+itself is not touched. A request's status is set exactly once, when it
+launches (completed) or fails (dropped or untriggered); requests still
+waiting when the stream runs out are dropped. A failed anchor never
+completes, so its edges never fire and its dependents never launch.
 
 A single simulation is strictly single-threaded and deterministic; multiple
 simulations can run concurrently since all inputs are immutable (concurrent
@@ -63,17 +63,6 @@ LATENCY_GREEDY = "latency-greedy"
 ROUND_ROBIN = "round-robin"
 
 
-class TimelineEntry(NamedTuple):
-    """One request's row of a timeline, built from an EventLog's columns on access."""
-
-    request: InferenceRequest
-    unit: str | None
-    t_start_us: int | None
-    t_end_us: int | None
-    status: str
-    energy_mj: float
-
-
 class ModelCounts(NamedTuple):
     """One model's request totals; `log_to_obj` writes the fields in this order."""
 
@@ -89,7 +78,7 @@ class EventLog:
     """The simulated timeline as columns indexed by stream position (a request
     that never launched has no unit, start or end, and zero energy), and its
     per-model view, built once: positions in ascending request index (the order
-    scoring sums in) and counts. `entries` and `by_model` build rows on access."""
+    scoring sums in) and counts."""
 
     scenario: str
     hardware: str
@@ -123,15 +112,10 @@ class EventLog:
             )
 
     @property
-    def entries(self) -> list[TimelineEntry]:
-        return self._rows(range(len(self.requests)))
-
-    def by_model(self, model: str) -> list[TimelineEntry]:
-        return self._rows(self.positions.get(model, ()))
-
-    def _rows(self, positions: Sequence[int]) -> list[TimelineEntry]:
-        columns = (self.requests, self.unit, self.t_start_us, self.t_end_us, self.status, self.energy_mj)
-        return list(map(TimelineEntry, *([column[p] for p in positions] for column in columns)))
+    def entries(self) -> list[tuple]:
+        """(request, unit, start, end, status, energy) per position; only a
+        benchmark's request counter reads it, and ROADMAP item 8 deletes it."""
+        return list(zip(self.requests, self.unit, self.t_start_us, self.t_end_us, self.status, self.energy_mj))
 
 
 def eval_control_gate(edge: DependencyEdge, upstream_frame: int, seed: int) -> bool:
@@ -152,10 +136,8 @@ class _Plan(NamedTuple):
     reads the rest."""
 
     model_of: list[str]
-    index_of: list[int]
+    req_of: list[int]
     dl_of: list[int]
-    arrivals: list[int]  # positions by (request time, model, request index)
-    arrival_us: list[int]  # request time of each position in `arrivals`
     dependents: dict[int, list[tuple[int, int]]]  # anchor -> (edge number, downstream)
     unresolved: list[int]  # anchored dependencies
 
@@ -180,15 +162,12 @@ def _plan(stream: RequestStream, pairs: tuple[tuple[str, str], ...]) -> _Plan:
     requests = stream.requests
     n = len(requests)
     model_of = [r.model for r in requests]
-    index_of = [r.request_index for r in requests]
     req_of = [r.t_req_us for r in requests]
     dl_of = [r.t_dl_us for r in requests]
-    arrival_key = list(zip(req_of, model_of, index_of))
-    arrivals = sorted(range(n), key=arrival_key.__getitem__)
-    arrival_us = [req_of[p] for p in arrivals]
 
     # Anchor each dependency edge of a request to the latest upstream request
-    # whose frame does not exceed the downstream frame.
+    # whose frame does not exceed the downstream frame. A model's positions
+    # come in request index and frame order (the stream's invariant).
     dependents: dict[int, list[tuple[int, int]]] = {}
     unresolved = [0] * n
     if pairs:
@@ -197,15 +176,14 @@ def _plan(stream: RequestStream, pairs: tuple[tuple[str, str], ...]) -> _Plan:
             by_model.setdefault(model, []).append(p)
         for e, (model_id, upstream) in enumerate(pairs):
             ups = by_model.get(upstream, [])
-            up_frames = sorted(requests[q].frame_index for q in ups)
-            up_by_index = {index_of[q]: q for q in ups}
+            up_frames = [requests[q].frame_index for q in ups]
             for p in by_model.get(model_id, ()):
                 k = bisect_right(up_frames, requests[p].frame_index) - 1
                 if k < 0:
                     continue  # no upstream frame precedes; nothing to wait on
-                dependents.setdefault(up_by_index[k], []).append((e, p))
+                dependents.setdefault(ups[k], []).append((e, p))
                 unresolved[p] += 1
-    plan = plans[pairs] = _Plan(model_of, index_of, dl_of, arrivals, arrival_us, dependents, unresolved)
+    plan = plans[pairs] = _Plan(model_of, req_of, dl_of, dependents, unresolved)
     return plan
 
 
@@ -248,7 +226,7 @@ def simulate(
 
     edges = scenario.edges()
     pairs = tuple((e.downstream, e.upstream) for e in edges)
-    model_of, index_of, dl_of, arrivals, arrival_us, dependents, anchored = _plan(stream, pairs)
+    model_of, req_of, dl_of, dependents, anchored = _plan(stream, pairs)
     unresolved = anchored.copy()  # anchored dependencies not yet fired true
 
     completions: list[tuple[int, int, int]] = []  # (t_end_us, unit rank, position)
@@ -256,10 +234,10 @@ def simulate(
     pending: dict[str, int] = {}  # model -> its arrived, waiting request
     cursor = 0
     while cursor < n or completions:
-        if completions and (cursor == n or completions[0][0] <= arrival_us[cursor]):
+        if completions and (cursor == n or completions[0][0] <= req_of[cursor]):
             now = completions[0][0]
         else:
-            now = arrival_us[cursor]
+            now = req_of[cursor]
 
         # Completions free their units (lowest rank first) and resolve gates.
         while completions and completions[0][0] == now:
@@ -279,13 +257,12 @@ def simulate(
                         status[d] = UNTRIGGERED
 
         # Arrivals supersede their model's waiting request (the drop rule).
-        while cursor < n and arrival_us[cursor] == now:
-            p = arrivals[cursor]
+        while cursor < n and req_of[cursor] == now:
+            p = cursor
             cursor += 1
             model = model_of[p]
-            prev = pending.get(model)
-            if prev is not None and index_of[prev] < index_of[p]:
-                del pending[model]
+            prev = pending.pop(model, None)
+            if prev is not None:
                 status[prev] = DROPPED
             if status[p] is None:
                 pending[model] = p

@@ -43,6 +43,7 @@ from mmtsim.scoring import (
 from mmtsim.workload import LOWER_IS_BETTER, accuracy_goal, achieved_metric
 
 from fuzzing import random_setup
+from timelines import rows
 
 
 def _verdict(name, failures):
@@ -149,10 +150,10 @@ def test_criterion_5_drop_rule_oracle():
     costs = CostTable([CostEntry("A", "u0", latency_ms=800.0, energy_mj=1.0)], e_max_mj=10.0)
     log = simulate(scenario, stream, hw, costs)
     failures = []
-    statuses = [e.status for e in log.entries]
+    statuses = [e.status for e in rows(log)]
     if statuses != [COMPLETED, DROPPED, DROPPED, COMPLETED]:
         failures.append(f"statuses {statuses}")
-    ends = [e.t_end_us for e in log.entries if e.status == COMPLETED]
+    ends = [e.t_end_us for e in rows(log) if e.status == COMPLETED]
     if ends != [800_000, 1_600_000]:
         failures.append(f"completion times {ends}")
     _verdict("drop-rule hand-simulation oracle", failures)
@@ -174,8 +175,8 @@ def test_criterion_6_deep_dive_timeline():
         frames = [r.frame_index for r in stream.requests if r.model == model]
         if any(b - a != 2 for a, b in zip(frames, frames[1:])):
             failures.append(f"{model} is not on every other frame: {frames[:6]}...")
-    es_end = {e.request.frame_index: e.t_end_us for e in log.by_model("ES") if e.status == COMPLETED}
-    for e in log.by_model("GE"):
+    es_end = {e.request.frame_index: e.t_end_us for e in rows(log, "ES") if e.status == COMPLETED}
+    for e in rows(log, "GE"):
         if e.status == COMPLETED and e.t_start_us < es_end.get(e.request.frame_index, 0):
             failures.append(f"GE frame {e.request.frame_index} started before its ES finished")
             break
@@ -195,8 +196,8 @@ def test_criterion_7_run_determinism(tmp_path):
         with open(tmp_path / run / "timeline_vr-gaming.csv", newline="") as fh:
             log = log_from_csv(fh, scenario="vr-gaming")
         key = lambda e: (e.request.model, e.request.request_index)
-        reqs = {key(e): e.request.t_req_us for e in log.entries}
-        dls = {key(e): e.request.t_dl_us for e in log.entries}
+        reqs = {key(e): e.request.t_req_us for e in rows(log)}
+        dls = {key(e): e.request.t_dl_us for e in rows(log)}
         return reqs, dls
 
     req_a, dl_a = times("a")
@@ -220,12 +221,12 @@ def _brute_force_scenario_score(csv_text, scenario, models, cfg):
         acc = min(max(ratio, 0.0), 1.0)
         score_sum = 0.0
         n = 0
-        entries = sorted(log.by_model(model_id), key=lambda e: e.request.request_index)
+        entries = sorted(rows(log, model_id), key=lambda e: e.request.request_index)
         for e in entries:
             if e.status != COMPLETED:
                 continue
             latency_ms = (e.t_end_us - e.request.t_req_us) / 1000.0
-            slack_ms = e.request.t_slack_us / 1000.0
+            slack_ms = (e.request.t_dl_us - e.request.t_req_us) / 1000.0
             arg = cfg.k * (latency_ms - slack_ms) / 1000.0
             arg = min(max(arg, -700.0), 700.0)
             rt = 1.0 / (1.0 + math.exp(arg))

@@ -115,7 +115,7 @@ def test_inference_request_is_an_immutable_value():
     twin = InferenceRequest(model="HT", frame_index=4, request_index=2, t_req_us=66_667, t_dl_us=100_000)
     assert r == twin and hash(r) == hash(twin)
     assert r != InferenceRequest("HT", 4, 2, 66_667, 100_001)
-    assert (r.t_req_ms, r.t_dl_ms, r.t_slack_us) == (66.667, 100.0, 33_333)
+    assert (r.t_req_ms, r.t_dl_ms, r.t_dl_us - r.t_req_us) == (66.667, 100.0, 33_333)
 
 
 def test_a_simulated_stream_stays_an_equal_value():

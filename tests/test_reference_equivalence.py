@@ -12,6 +12,7 @@ from mmtsim.workload import UsageScenario, with_edge_probability
 
 from fuzzing import random_setup
 from reference_sim import reference_simulate
+from timelines import rows
 
 POLICIES = (LATENCY_GREEDY, ROUND_ROBIN)
 
@@ -19,7 +20,7 @@ POLICIES = (LATENCY_GREEDY, ROUND_ROBIN)
 def _timeline(log):
     return {
         (e.request.model, e.request.request_index): (e.unit, e.t_start_us, e.t_end_us, e.status, e.energy_mj)
-        for e in log.entries
+        for e in rows(log)
     }
 
 
@@ -27,7 +28,7 @@ def _assert_same(scenario, stream, hw, costs, policy):
     log = simulate(scenario, stream, hw, costs, policy=policy)
     expected = reference_simulate(scenario, stream, hw, costs, policy)
     got = _timeline(log)
-    assert len(got) == len(log.entries) and set(got) == set(expected)
+    assert len(got) == len(rows(log)) and set(got) == set(expected)
     mismatched = [k for k in expected if got[k] != expected[k]]
     assert not mismatched, (
         f"{scenario.id} ({policy}): {len(mismatched)} entries differ, first {mismatched[0]}: "
@@ -55,7 +56,7 @@ def test_builtin_suite_on_small_preset_matches_reference(preset, policy):
     for scenario in config.suite.scenarios:
         stream = generate_requests(scenario, config.sources, config.models, 1.0, seed=7)
         log = _assert_same(scenario, stream, hw, costs, policy)
-        dropped += sum(e.status == DROPPED for e in log.entries)
+        dropped += sum(e.status == DROPPED for e in rows(log))
     assert dropped > 0  # the drop rule must actually be exercised
 
 

@@ -30,14 +30,13 @@ from mmtsim.runtime import (
     DROPPED,
     UNTRIGGERED,
     LOG_CSV_FIELDS,
-    TimelineEntry,
     eval_control_gate,
     log_from_csv,
     log_to_csv,
 )
 
 from fuzzing import random_setup
-from timelines import log_of
+from timelines import TimelineEntry, log_of, rows
 
 
 def single_model_setup(rate, latency_ms, duration=1.0, units=1):
@@ -56,8 +55,8 @@ def single_model_setup(rate, latency_ms, duration=1.0, units=1):
 def test_two_requests_complete_within_deadline():
     scenario, stream, hw, costs = single_model_setup(rate=2.0, latency_ms=100.0)
     log = simulate(scenario, stream, hw, costs)
-    assert [e.status for e in log.entries] == [COMPLETED, COMPLETED]
-    assert all(e.t_end_us <= e.request.t_dl_us for e in log.entries)
+    assert [e.status for e in rows(log)] == [COMPLETED, COMPLETED]
+    assert all(e.t_end_us <= e.request.t_dl_us for e in rows(log))
     assert log.counts["A"].n_sat == 2
 
 
@@ -65,9 +64,9 @@ def test_drop_rule_hand_simulation():
     # 4 Hz arrivals at 0/250/500/750 ms against an 800 ms inference
     scenario, stream, hw, costs = single_model_setup(rate=4.0, latency_ms=800.0)
     log = simulate(scenario, stream, hw, costs)
-    assert [e.status for e in log.entries] == [COMPLETED, DROPPED, DROPPED, COMPLETED]
-    assert log.entries[0].t_end_us == 800_000
-    assert log.entries[3].t_end_us == 1_600_000
+    assert [e.status for e in rows(log)] == [COMPLETED, DROPPED, DROPPED, COMPLETED]
+    assert rows(log)[0].t_end_us == 800_000
+    assert rows(log)[3].t_end_us == 1_600_000
 
 
 def _pipeline_setup(probability, duration=1.0):
@@ -116,8 +115,8 @@ def test_full_probability_gate_runs_everything():
 def test_downstream_starts_after_upstream_ends():
     scenario, stream, hw, costs = _pipeline_setup(1.0)
     log = simulate(scenario, stream, hw, costs)
-    ups = {e.request.frame_index: e for e in log.by_model("UP")}
-    for e in log.by_model("DN"):
+    ups = {e.request.frame_index: e for e in rows(log, "UP")}
+    for e in rows(log, "DN"):
         if e.status == COMPLETED:
             assert e.t_start_us >= ups[e.request.frame_index].t_end_us
 
@@ -163,9 +162,9 @@ def test_a_request_whose_anchor_was_untriggered_never_launches():
         {"A": 1.0, "B": 1.0, "C": 1.0}, [("A", "B", 0.0), ("B", "C", 1.0)]
     )
     log = simulate(scenario, generate_requests(scenario, sources, models, 0.5, seed=0), hw, costs)
-    assert [e.status for e in log.by_model("A")] == [COMPLETED] * 5
-    assert [e.status for e in log.by_model("B")] == [UNTRIGGERED] * 5
-    assert [e.status for e in log.by_model("C")] == [DROPPED] * 5
+    assert [e.status for e in rows(log, "A")] == [COMPLETED] * 5
+    assert [e.status for e in rows(log, "B")] == [UNTRIGGERED] * 5
+    assert [e.status for e in rows(log, "C")] == [DROPPED] * 5
 
 
 def test_a_request_whose_anchor_was_dropped_never_launches():
@@ -210,7 +209,7 @@ def test_drop_superseded_rules():
         e_max_mj=1.0,
     )
     log = simulate(scenario, stream, hw, costs)
-    a, b = log.by_model("A"), log.by_model("B")
+    a, b = rows(log, "A"), rows(log, "B")
 
     # A1 waits from 100 ms while B1 arrives and runs: another model never supersedes it
     assert a[1].status == COMPLETED and a[1].t_start_us == 152_000
@@ -236,7 +235,7 @@ def _hand_run(latency_ms, arrivals, policy, units=1):
     hw = HardwareSystem(id="h", style="FDA" if units == 1 else "SFDA", units=hw_units)
     costs = CostTable([CostEntry(m, u.id, lat, 0.0) for m, lat in latency_ms.items() for u in hw_units], e_max_mj=1.0)
     log = simulate(scenario, stream, hw, costs, policy=policy)
-    runs = [e for e in log.entries if e.status == COMPLETED]
+    runs = [e for e in rows(log) if e.status == COMPLETED]
     assert len(runs) == len(requests)
     runs.sort(key=lambda e: (e.t_start_us, e.unit))
     return [(e.request.model, e.request.request_index, e.unit, e.t_start_us / 1000) for e in runs]
@@ -479,8 +478,8 @@ def test_log_csv_roundtrip():
     log_to_csv(log, buf)
     buf.seek(0)
     back = log_from_csv(buf, scenario=scenario.id)
-    assert [e.status for e in back.entries] == [e.status for e in log.entries]
-    assert [e.t_end_us for e in back.entries] == [e.t_end_us for e in log.entries]
+    assert [e.status for e in rows(back)] == [e.status for e in rows(log)]
+    assert [e.t_end_us for e in rows(back)] == [e.t_end_us for e in rows(log)]
     assert back.counts == log.counts
 
 

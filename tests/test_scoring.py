@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from mmtsim import ScoringError, builtin_config, generate_requests, simulate, synthetic_table
 from mmtsim.costmodel import preset_system
-from mmtsim.runtime import COMPLETED, DROPPED, TimelineEntry
+from mmtsim.runtime import COMPLETED, DROPPED
 from mmtsim.loadgen import InferenceRequest
 from mmtsim.scoring import (
     ScoringConfig,
@@ -33,7 +33,7 @@ from mmtsim.workload import (
 )
 
 from fuzzing import random_setup
-from timelines import log_of
+from timelines import TimelineEntry, log_of, rows
 
 
 def test_rt_score_midpoint():
@@ -153,17 +153,18 @@ def test_log_groups_a_model_in_request_order_whatever_the_entry_order():
     assert [e.request.request_index for e in a_entries] != list(range(12))
 
     log = log_of(shuffled)
-    assert [e.request.request_index for e in log.by_model("A")] == list(range(12))
-    assert [e.request.request_index for e in log.by_model("B")] == list(range(12))
+    assert [e.request.request_index for e in rows(log, "A")] == list(range(12))
+    assert [e.request.request_index for e in rows(log, "B")] == list(range(12))
 
     def rt_sum(entries):
         total = 0.0
         for e in entries:
             if e.status == COMPLETED:
-                total += rt_score((e.t_end_us - e.request.t_req_us) / 1000.0, e.request.t_slack_us / 1000.0, CFG.k)
+                r = e.request
+                total += rt_score((e.t_end_us - r.t_req_us) / 1000.0, (r.t_dl_us - r.t_req_us) / 1000.0, CFG.k)
         return total
 
-    assert rt_sum(a_entries) != rt_sum(log.by_model("A"))  # the order of summation shows in the low bits
+    assert rt_sum(a_entries) != rt_sum(rows(log, "A"))  # the order of summation shows in the low bits
 
     scenario = UsageScenario(id="x", entries=tuple(ScenarioEntry(model=m, target_rate=2.0) for m in ("A", "B")))
     models = {m: UnitModel(id=m, task_tag="t", input_sources=("s",)) for m in ("A", "B")}
