@@ -79,10 +79,6 @@ class InferenceRequest(NamedTuple):
     def t_dl_ms(self) -> float:
         return self.t_dl_us / US_PER_MS
 
-    @property
-    def t_slack_us(self) -> int:
-        return self.t_dl_us - self.t_req_us
-
 
 @dataclass(frozen=True)
 class RequestStream:

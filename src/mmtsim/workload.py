@@ -58,8 +58,8 @@ class InputSource:
             raise ConfigError(f"input source {self.id!r}: streaming_rate must be finite and > 0")
         if not 0 <= self.init_latency < math.inf:
             raise ConfigError(f"input source {self.id!r}: init_latency must be finite and >= 0")
-        if not 0 <= self.max_jitter < math.inf:
-            raise ConfigError(f"input source {self.id!r}: max_jitter must be finite and >= 0")
+        if not 0 <= self.max_jitter < 500 / self.streaming_rate:  # half a period: frames keep their order
+            raise ConfigError(f"input source {self.id!r}: max_jitter must be in [0, {500 / self.streaming_rate:g}) ms")
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,16 @@ class UnitModel:
             raise ConfigError(f"model {self.id!r}: needs at least one input source")
         if self.metric_direction not in (HIGHER_IS_BETTER, LOWER_IS_BETTER):
             raise ConfigError(f"model {self.id!r}: bad metric_direction {self.metric_direction!r}")
+        if not 0 < self.reported_metric < math.inf:
+            raise ConfigError(f"model {self.id!r}: reported_metric must be finite and > 0")
         if self.flops is not None and self.flops <= 0:
             raise ConfigError(f"model {self.id!r}: flops must be positive when given")
         achieved = self.achieved_metric
         is_number = isinstance(achieved, (int, float)) and not isinstance(achieved, bool)
         if achieved is not None and not (is_number and math.isfinite(achieved)):
             raise ConfigError(f"model {self.id!r}: achieved_metric must be a finite number or null")
+        if achieved is not None and achieved <= 0 and self.metric_direction == LOWER_IS_BETTER:
+            raise ConfigError(f"model {self.id!r}: a lower-is-better achieved_metric must be > 0")
 
 
 @dataclass(frozen=True)
@@ -236,8 +240,6 @@ def accuracy_goal(model: UnitModel) -> float:
     Lower-is-better metrics (errors) invert the margin: 95% of the reported
     value, since a smaller error is the harder target.
     """
-    if not math.isfinite(model.reported_metric):
-        raise ConfigError(f"model {model.id!r}: reported_metric is not finite")
     if model.metric_direction == HIGHER_IS_BETTER:
         return 1.05 * model.reported_metric
     return 0.95 * model.reported_metric

@@ -117,6 +117,36 @@ def test_validate_checks_the_schedules_of_the_valid_scenarios(tmp_path, capsys, 
     assert checked == [s["id"] for s in obj["scenarios"] if s["id"] != "vr-gaming"]
 
 
+# (list in the suite file, id of the item, key, value): each breaks scoring or a source's frame order
+SUITE_FAULTS = {
+    "reported-inf": ("models", "HT", "reported_metric", math.inf),
+    "reported-zero": ("models", "HT", "reported_metric", 0),
+    "reported-negative": ("models", "HT", "reported_metric", -1),
+    "lower-is-better-achieved-zero": ("models", "GE", "achieved_metric", 0),
+    "jitter-20ms-at-60hz": ("input_sources", "camera", "max_jitter_ms", 20.0),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", SUITE_FAULTS)
+def test_a_suite_fault_is_a_config_error_naming_its_item(tmp_path, capsys, case, command):
+    items, item_id, key, value = SUITE_FAULTS[case]
+    obj = config_to_obj(builtin_config())
+    (item,) = (x for x in obj[items] if x["id"] == item_id)
+    item[key] = value
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(json.dumps(obj))
+    out = tmp_path / "o"
+    argv = [command, "--suite", str(suite_path)]
+    if command == "run":
+        argv += ["--hw", "preset:J", "--synthetic", "--duration", "1", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "ok" not in captured.out
+    assert captured.err.startswith("error: ") and repr(item_id) in captured.err and "Traceback" not in captured.err
+    assert not list(tmp_path.glob("o/timeline_*"))
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -11,6 +11,7 @@ from mmtsim import runtime
 from mmtsim.costmodel import preset_system
 from mmtsim.loadgen import (
     InferenceRequest,
+    RequestStream,
     det_rand,
     generate_requests,
     jitter_offset,
@@ -116,6 +117,31 @@ def test_inference_request_is_an_immutable_value():
     assert r == twin and hash(r) == hash(twin)
     assert r != InferenceRequest("HT", 4, 2, 66_667, 100_001)
     assert (r.t_req_ms, r.t_dl_ms, r.t_dl_us - r.t_req_us) == (66.667, 100.0, 33_333)
+
+
+def _stream(*requests):
+    """A hand-built stream of (model, frame, request index, request time in ms) requests."""
+    requests = tuple(InferenceRequest(m, frame, k, t_req_ms * 1000, 500_000) for m, frame, k, t_req_ms in requests)
+    return RequestStream(scenario="x", duration=1.0, seed=0, requests=requests)
+
+
+def test_a_model_whose_requests_arrive_swapped_is_a_config_error():
+    # X0 at 0 ms, then A1 at 10 ms before A0 at 20 ms: a dispatcher would drop A1 when A0 arrives
+    message = r"^request stream: A request_index 1 \(frame 1\) comes where request_index 0 should$"
+    with pytest.raises(ConfigError, match=message):
+        _stream(("X", 0, 0, 0), ("A", 1, 1, 10), ("A", 0, 0, 20))
+
+
+def test_a_gap_in_a_models_request_indices_is_a_config_error():
+    message = r"A request_index 2 \(frame 2\) comes where request_index 1 after frame 0 should"
+    with pytest.raises(ConfigError, match=message):
+        _stream(("A", 0, 0, 0), ("A", 2, 2, 20))
+
+
+def test_a_repeated_frame_is_a_config_error():
+    message = r"A request_index 1 \(frame 3\) comes where request_index 1 after frame 3 should"
+    with pytest.raises(ConfigError, match=message):
+        _stream(("A", 3, 0, 0), ("A", 3, 1, 10))
 
 
 def test_a_simulated_stream_stays_an_equal_value():

@@ -47,6 +47,18 @@ def test_fuzzed_setups_match_reference(policy):
 
 
 @pytest.mark.parametrize("policy", POLICIES)
+def test_jitter_just_under_half_a_frame_period_matches_reference(policy):
+    # the largest jitter a source may have: its frames may then interleave
+    # with other sources' frames, but never swap among themselves
+    rng = random.Random(4949)
+    for i in range(40):
+        scenario, sources, models, hw, costs = random_setup(rng)
+        sources = {sid: replace(s, max_jitter=0.49 * 1000 / s.streaming_rate) for sid, s in sources.items()}
+        stream = generate_requests(scenario, sources, models, 0.5, seed=i)
+        _assert_same(scenario, stream, hw, costs, policy)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("preset", ["G", "L"])  # four equal units; two unequal kinds
 def test_builtin_suite_on_small_preset_matches_reference(preset, policy):
     config = builtin_config()

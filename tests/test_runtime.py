@@ -327,6 +327,21 @@ def test_simulation_is_deterministic():
     assert run() == run()
 
 
+def test_a_stream_given_out_of_order_is_kept_and_simulated_in_dispatch_order():
+    config = builtin_config()
+    scenario = config.suite.scenario("social-interaction-a")
+    stream = generate_requests(scenario, config.sources, config.models, 1.0, seed=7)
+    shuffled = list(stream.requests)
+    random.Random(3).shuffle(shuffled)
+    given = RequestStream(scenario=stream.scenario, duration=stream.duration, seed=stream.seed, requests=shuffled)
+    assert given.requests == stream.requests and type(given.requests) is tuple
+    hw = preset_system("G", total_pes=96)
+    costs = synthetic_table(config.models, hw)
+    a, b = simulate(scenario, given, hw, costs), simulate(scenario, stream, hw, costs)
+    assert rows(a) == rows(b) and a.counts == b.counts
+    assert a.counts["GE"].n_dropped > 0  # the drop rule ran
+
+
 def test_extra_unit_never_increases_drops():
     config = builtin_config()
     for scenario in config.suite.scenarios:

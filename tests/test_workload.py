@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -121,10 +123,27 @@ def _model(reported, direction):
     )
 
 
+@pytest.mark.parametrize("reported", [math.inf, 0.0, -1.0])  # NaN: test_accuracy_goal_rejects_non_finite
+def test_reported_metric_must_be_finite_and_positive(reported):
+    with pytest.raises(ConfigError, match="model 'A': reported_metric"):
+        _model(reported, HIGHER_IS_BETTER)
+
+
+def test_lower_is_better_achieved_metric_must_be_positive():
+    with pytest.raises(ConfigError, match="model 'A': a lower-is-better achieved_metric"):
+        replace(_model(10.0, LOWER_IS_BETTER), achieved_metric=0.0)
+    assert replace(_model(10.0, HIGHER_IS_BETTER), achieved_metric=0.0).achieved_metric == 0.0
+
+
+def test_max_jitter_must_stay_below_half_a_frame_period():
+    with pytest.raises(ConfigError, match=r"input source 'cam': max_jitter must be in \[0, 8.33333\) ms"):
+        InputSource("cam", streaming_rate=60.0, max_jitter=500 / 60)
+    assert InputSource("cam", streaming_rate=60.0, max_jitter=0.49 * 1000 / 60).max_jitter < 500 / 60
+
+
 def test_accuracy_goal_values():
     assert accuracy_goal(_model(90.1, HIGHER_IS_BETTER)) == pytest.approx(94.605)
     assert accuracy_goal(_model(10.0, LOWER_IS_BETTER)) == pytest.approx(9.5)
-    assert accuracy_goal(_model(0.0, HIGHER_IS_BETTER)) == 0.0
 
 
 def test_accuracy_goal_rejects_non_finite():
@@ -133,8 +152,8 @@ def test_accuracy_goal_rejects_non_finite():
 
 
 @given(
-    a=st.floats(min_value=0, max_value=1e6),
-    b=st.floats(min_value=0, max_value=1e6),
+    a=st.floats(min_value=0, max_value=1e6, exclude_min=True),
+    b=st.floats(min_value=0, max_value=1e6, exclude_min=True),
     direction=st.sampled_from([HIGHER_IS_BETTER, LOWER_IS_BETTER]),
 )
 def test_accuracy_goal_monotone(a, b, direction):
