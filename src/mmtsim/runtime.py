@@ -25,15 +25,18 @@ State: per-request state lives in flat lists indexed by stream position.
 What depends on the stream alone comes from a per-stream plan, built once
 per edge shape (the scenario's (downstream, upstream) model pairs) and kept
 in this module while the stream object lives: the columns `model_of`,
-`req_of` and `dl_of` (each position's model, request time and deadline) and
-the dependency anchors. Anchors name edges by number, so each run gates with
-its own scenario's edges. The event loop, the drop rule and both policies
-read the columns, not the requests' attributes; a run copies the plan's
-counts of unresolved dependencies and changes nothing else in it. The stream
-itself is not touched. A request's status is set exactly once, when it
-launches (completed) or fails (dropped or untriggered); requests still
-waiting when the stream runs out are dropped. A failed anchor never
-completes, so its edges never fire and its dependents never launch.
+`req_of` and `dl_of` (each position's model, request time and deadline),
+each model's positions in request index order, and the dependency anchors.
+Anchors name edges by number, so each run gates with its own scenario's
+edges. The event loop, the drop rule and both policies read the columns, not
+the requests' attributes; a run copies the plan's counts of unresolved
+dependencies and changes nothing else in it. The log a run returns shares
+the plan's per-model positions through a read-only view, so neither the log
+nor its reader can change a later run. The stream itself is not touched. A
+request's status is set exactly once, when it launches (completed) or fails
+(dropped or untriggered); requests still waiting when the stream runs out
+are dropped. A failed anchor never completes, so its edges never fire and
+its dependents never launch.
 
 A single simulation is strictly single-threaded and deterministic; multiple
 simulations can run concurrently since all inputs are immutable (concurrent
@@ -48,7 +51,8 @@ import weakref
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .costmodel import CostTable, HardwareSystem
 from .errors import ConfigError
@@ -77,8 +81,9 @@ class ModelCounts(NamedTuple):
 class EventLog:
     """The simulated timeline as columns indexed by stream position (a request
     that never launched has no unit, start or end, and zero energy), and its
-    per-model view, built once: positions in ascending request index (the order
-    scoring sums in) and counts."""
+    per-model view: `positions`, each model's positions in ascending request
+    index (the order scoring sums in), given by whoever builds the log, and
+    `counts`, derived from them once."""
 
     scenario: str
     hardware: str
@@ -90,18 +95,13 @@ class EventLog:
     t_end_us: list[int | None]
     status: list[str]
     energy_mj: list[float]
-    positions: dict[str, list[int]] = field(init=False)
+    positions: Mapping[str, Sequence[int]]
     counts: dict[str, ModelCounts] = field(init=False)
 
     def __post_init__(self) -> None:
         requests, status, t_end_us = self.requests, self.status, self.t_end_us
-        self.positions = {}
-        for p, r in enumerate(requests):
-            self.positions.setdefault(r.model, []).append(p)
-        request_index = [r.request_index for r in requests]
         self.counts = {}
         for m, ps in self.positions.items():
-            ps.sort(key=request_index.__getitem__)
             statuses = [status[p] for p in ps]
             self.counts[m] = ModelCounts(
                 n_total=len(ps),
@@ -138,6 +138,7 @@ class _Plan(NamedTuple):
     model_of: list[str]
     req_of: list[int]
     dl_of: list[int]
+    positions: Mapping[str, tuple[int, ...]]  # model -> its positions, read-only
     dependents: dict[int, list[tuple[int, int]]]  # anchor -> (edge number, downstream)
     unresolved: list[int]  # anchored dependencies
 
@@ -161,29 +162,30 @@ def _plan(stream: RequestStream, pairs: tuple[tuple[str, str], ...]) -> _Plan:
         return plan
     requests = stream.requests
     n = len(requests)
-    model_of = [r.model for r in requests]
+    # A model's positions come in request index and frame order (the stream's invariant).
+    model_of: list[str] = []
+    by_model: dict[str, list[int]] = {}
+    for p, r in enumerate(requests):
+        model_of.append(r.model)
+        by_model.setdefault(r.model, []).append(p)
     req_of = [r.t_req_us for r in requests]
     dl_of = [r.t_dl_us for r in requests]
+    positions = MappingProxyType({model: tuple(ps) for model, ps in by_model.items()})
 
     # Anchor each dependency edge of a request to the latest upstream request
-    # whose frame does not exceed the downstream frame. A model's positions
-    # come in request index and frame order (the stream's invariant).
+    # whose frame does not exceed the downstream frame.
     dependents: dict[int, list[tuple[int, int]]] = {}
     unresolved = [0] * n
-    if pairs:
-        by_model: dict[str, list[int]] = {}
-        for p, model in enumerate(model_of):
-            by_model.setdefault(model, []).append(p)
-        for e, (model_id, upstream) in enumerate(pairs):
-            ups = by_model.get(upstream, [])
-            up_frames = [requests[q].frame_index for q in ups]
-            for p in by_model.get(model_id, ()):
-                k = bisect_right(up_frames, requests[p].frame_index) - 1
-                if k < 0:
-                    continue  # no upstream frame precedes; nothing to wait on
-                dependents.setdefault(ups[k], []).append((e, p))
-                unresolved[p] += 1
-    plan = plans[pairs] = _Plan(model_of, req_of, dl_of, dependents, unresolved)
+    for e, (model_id, upstream) in enumerate(pairs):
+        ups = positions.get(upstream, ())
+        up_frames = [requests[q].frame_index for q in ups]
+        for p in positions.get(model_id, ()):
+            k = bisect_right(up_frames, requests[p].frame_index) - 1
+            if k < 0:
+                continue  # no upstream frame precedes; nothing to wait on
+            dependents.setdefault(ups[k], []).append((e, p))
+            unresolved[p] += 1
+    plan = plans[pairs] = _Plan(model_of, req_of, dl_of, positions, dependents, unresolved)
     return plan
 
 
@@ -226,7 +228,7 @@ def simulate(
 
     edges = scenario.edges()
     pairs = tuple((e.downstream, e.upstream) for e in edges)
-    model_of, req_of, dl_of, dependents, anchored = _plan(stream, pairs)
+    model_of, req_of, dl_of, positions, dependents, anchored = _plan(stream, pairs)
     unresolved = anchored.copy()  # anchored dependencies not yet fired true
 
     completions: list[tuple[int, int, int]] = []  # (t_end_us, unit rank, position)
@@ -303,6 +305,7 @@ def simulate(
         t_end_us=t_end_us,
         status=[st or DROPPED for st in status],
         energy_mj=energy_mj,
+        positions=positions,
     )
 
 
@@ -429,7 +432,25 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
             energy_mj.append(float(energy))
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"timeline CSV line {reader.line_num}: {exc}") from None
-    log = EventLog(
+
+    # Each model has one row per request index 0..n-1. Once its positions are
+    # sorted by request index, the first position i that holds another index
+    # is the model's first fault: a repeat of i-1, or a gap at i.
+    positions: dict[str, list[int]] = {}  # models in first-appearance order
+    for p, r in enumerate(requests):
+        positions.setdefault(r.model, []).append(p)
+    request_index = [r.request_index for r in requests]
+    for model, ps in positions.items():
+        if list(map(request_index.__getitem__, ps)) == list(range(len(ps))):
+            continue  # in order and whole, as `log_to_csv` writes it
+        ps.sort(key=request_index.__getitem__)
+        for i, p in enumerate(ps):
+            index = request_index[p]
+            if index < i:
+                raise ConfigError(f"timeline CSV has more than one row for {model} request_index {index}")
+            if index > i:
+                raise ConfigError(f"timeline CSV has no row for {model} request_index {i}")
+    return EventLog(
         scenario=scenario,
         hardware="",
         seed=0,
@@ -440,18 +461,8 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
         t_end_us=t_end_us,
         status=status,
         energy_mj=energy_mj,
+        positions=positions,
     )
-    # Each model has one row per request index 0..n-1. Its positions are sorted
-    # by request index, so the first position i that holds another index is
-    # the model's first fault: a repeat of i-1, or a gap at i.
-    for model, ps in log.positions.items():  # models in first-appearance order
-        for i, p in enumerate(ps):
-            index = requests[p].request_index
-            if index < i:
-                raise ConfigError(f"timeline CSV has more than one row for {model} request_index {index}")
-            if index > i:
-                raise ConfigError(f"timeline CSV has no row for {model} request_index {i}")
-    return log
 
 
 def log_to_obj(log: EventLog) -> dict:

@@ -133,27 +133,44 @@ class ScoreReport:
 
 def model_report(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> ModelReport:
     """Score one model of a log: means over its completed entries, in
-    ascending request index (0 when none completed), and its QoE."""
+    ascending request index (0 when none completed), and its QoE.
+
+    One pass over the log's columns computes each inference's scores inline,
+    with exactly the float operations, in the same order, of `rt_score`,
+    `energy_score` and `per_inference_score`, which stay the reference.
+    """
     acc = accuracy_score(achieved_metric(model), accuracy_goal(model), model.metric_direction)
-    rt_sum = en_sum = acc_sum = product_sum = 0.0
-    n = 0
-    for p in log.positions.get(model.id, ()):  # ascending request index
-        if log.status[p] != COMPLETED:
-            continue
-        _, _, _, t_req_us, t_dl_us = log.requests[p]  # unpacked: cheaper than named-tuple attributes
-        rt = rt_score((log.t_end_us[p] - t_req_us) / 1000.0, (t_dl_us - t_req_us) / 1000.0, cfg.k)
-        en = energy_score(log.energy_mj[p], cfg.e_max_mj)
-        rt_sum += rt
-        en_sum += en
-        acc_sum += acc
-        product_sum += per_inference_score(rt, en, acc)
-        n += 1
     counts = log.counts.get(model.id)
     if counts is None:
         raise ScoringError(
             f"the log has no requests of model {model.id!r} "
             "(a window too short for its target rate, or a timeline of another scenario)"
         )
+    k, e_max = cfg.k, cfg.e_max_mj
+    requests, status, t_end_us, energy_mj = log.requests, log.status, log.t_end_us, log.energy_mj
+    exp = math.exp
+    rt_sum = en_sum = acc_sum = product_sum = 0.0
+    n = 0
+    for p in log.positions[model.id]:  # ascending request index
+        if status[p] != COMPLETED:
+            continue
+        r = requests[p]
+        t_req_us = r[3]  # r[3], r[4]: t_req_us, t_dl_us; indexing is cheaper than attributes or unpacking
+        arg = k * ((t_end_us[p] - t_req_us) / 1000.0 - (r[4] - t_req_us) / 1000.0) / 1000.0
+        if arg < -_EXP_CLAMP:
+            arg = -_EXP_CLAMP
+        elif arg > _EXP_CLAMP:
+            arg = _EXP_CLAMP
+        rt = 1.0 / (1.0 + exp(arg))
+        e = energy_mj[p]
+        if not 0 <= e <= e_max:  # NaN fails too
+            raise ScoringError(f"energy {e} mJ outside [0, {e_max}]")
+        en = (e_max - e) / e_max
+        rt_sum += rt
+        en_sum += en
+        acc_sum += acc
+        product_sum += rt * en * acc
+        n += 1
     denom = counts.n_processed + counts.n_dropped  # untriggered requests were never droppable work
     qoe = qoe_score(counts.n_processed, denom) if denom > 0 else 0.0
     return ModelReport(

@@ -586,3 +586,68 @@ def test_short_timeline_row_is_a_config_error_naming_its_line():
     short = ",".join(lines[2].split(",")[:5]) + "\r\n"
     with pytest.raises(ConfigError, match=r"line 3\b"):
         log_from_csv(io.StringIO("".join([lines[0], lines[1], short, *lines[3:]])))
+
+
+def _regrouped(requests):
+    """Each model's stream positions in ascending request index, regrouped
+    from the requests alone; models in the order of their first request."""
+    groups = {}
+    for p, r in enumerate(requests):
+        groups.setdefault(r.model, []).append(p)
+    return {m: sorted(ps, key=lambda p: requests[p].request_index) for m, ps in groups.items()}
+
+
+def _simulated_logs():
+    """Logs of the built-in suite on preset G at 96 PEs (5 s, seed 7) and of
+    30 fuzzed setups, under both policies."""
+    config = builtin_config()
+    hw = preset_system("G", total_pes=96)
+    costs = synthetic_table(config.models, hw)
+    for scenario in config.suite.scenarios:
+        stream = generate_requests(scenario, config.sources, config.models, 5.0, seed=7)
+        yield simulate(scenario, stream, hw, costs)
+    rng = random.Random(29)
+    for i in range(30):
+        scenario, sources, models, hw, costs = random_setup(rng)
+        stream = generate_requests(scenario, sources, models, 0.5, seed=i)
+        for policy in ("latency-greedy", "round-robin"):
+            yield simulate(scenario, stream, hw, costs, policy=policy)
+
+
+def test_a_simulated_logs_positions_are_its_models_positions_in_request_index_order():
+    for log in _simulated_logs():
+        want = _regrouped(log.requests)
+        assert list(log.positions) == list(want)
+        assert {m: list(ps) for m, ps in log.positions.items()} == want
+
+
+def test_a_logs_positions_are_read_only_and_a_later_run_is_unaffected():
+    config = builtin_config()
+    scenario = config.suite.scenario("vr-gaming")
+    hw = preset_system("G", total_pes=96)
+    costs = synthetic_table(config.models, hw)
+    stream = generate_requests(scenario, config.sources, config.models, 2.0, seed=7)
+    first = simulate(scenario, stream, hw, costs)
+    es = first.positions["ES"]
+    with pytest.raises(TypeError):
+        first.positions["ES"] = es[::-1]
+    with pytest.raises(TypeError):
+        first.positions["ES"][0] = es[1]
+    with pytest.raises(TypeError):
+        del first.positions["GE"]
+    with pytest.raises(AttributeError):
+        first.positions["ES"].append(0)
+    second = simulate(scenario, stream, hw, costs)
+    assert {m: list(ps) for m, ps in second.positions.items()} == _regrouped(stream.requests)
+    assert second == first
+
+
+def test_log_from_csv_groups_shuffled_rows_by_model_in_request_index_order():
+    text = _timeline_texts()[0]
+    lines = text.splitlines(keepends=True)
+    body = lines[1:]
+    random.Random(3).shuffle(body)
+    log = log_from_csv(io.StringIO("".join([lines[0], *body])))
+    assert log.requests != log_from_csv(io.StringIO(text)).requests
+    assert {m: list(ps) for m, ps in log.positions.items()} == _regrouped(log.requests)
+    assert log.counts == log_from_csv(io.StringIO(text)).counts

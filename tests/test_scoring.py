@@ -1,11 +1,12 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mmtsim import ScoringError, builtin_config, generate_requests, simulate, synthetic_table
-from mmtsim.costmodel import preset_system
+from mmtsim.costmodel import CostTable, preset_system
 from mmtsim.runtime import COMPLETED, DROPPED
 from mmtsim.loadgen import InferenceRequest
 from mmtsim.scoring import (
@@ -30,6 +31,8 @@ from mmtsim.workload import (
     SuiteConfig,
     UnitModel,
     UsageScenario,
+    accuracy_goal,
+    achieved_metric,
 )
 
 from fuzzing import random_setup
@@ -261,3 +264,92 @@ def test_build_report_is_suite_report_on_fuzzed_setups():
         cfg = ScoringConfig(k=rng.choice([0.0, 10.0, 1000.0]), e_max_mj=costs.e_max_mj)
         logs = {scenario.id: simulate(scenario, generate_requests(scenario, sources, models, 0.5, seed=i), hw, costs)}
         assert _same_bits(build_report(logs, config, cfg), _folded(logs, config, cfg))
+
+
+def _reference_model_report(log, model, cfg):
+    """model_report's means and count as a fold of the documented equations,
+    `rt_score`, `energy_score` and `per_inference_score`, over the model's
+    rows in ascending request index."""
+    acc = accuracy_score(achieved_metric(model), accuracy_goal(model), model.metric_direction)
+    rt_sum = en_sum = acc_sum = product_sum = 0.0
+    n = 0
+    for e in rows(log, model.id):
+        if e.status != COMPLETED:
+            continue
+        r = e.request
+        rt = rt_score((e.t_end_us - r.t_req_us) / 1000.0, (r.t_dl_us - r.t_req_us) / 1000.0, cfg.k)
+        en = energy_score(e.energy_mj, cfg.e_max_mj)
+        rt_sum += rt
+        en_sum += en
+        acc_sum += acc
+        product_sum += per_inference_score(rt, en, acc)
+        n += 1
+    return [(s / n if n else 0.0).hex() for s in (rt_sum, en_sum, acc_sum, product_sum)], n
+
+
+def _edge_energies(costs):
+    """The cost table with every third entry's energy at 0 and every third at e_max_mj."""
+    ends = (0.0, costs.e_max_mj, None)
+    return CostTable(
+        [e if ends[i % 3] is None else replace(e, energy_mj=ends[i % 3]) for i, e in enumerate(costs.entries())],
+        e_max_mj=costs.e_max_mj,
+    )
+
+
+def _scored_setups():
+    """(scenario, models, log, e_max_mj): the golden setups (the built-in suite
+    on preset G at 96 PEs, 5 s, seed 7) and 30 fuzzed ones, each with energies
+    of exactly 0 and e_max_mj and an accuracy below its goal for a
+    lower-is-better model."""
+    config = builtin_config()
+    models = dict(config.models)
+    for mid in ("GE", "SR", "DE"):  # lower-is-better: an error above the reported one
+        models[mid] = replace(models[mid], achieved_metric=models[mid].reported_metric * 1.3)
+    models["HT"] = replace(models["HT"], achieved_metric=models["HT"].reported_metric * 0.7)
+    hw = preset_system("G", total_pes=96)
+    costs = _edge_energies(synthetic_table(config.models, hw))
+    for scenario in config.suite.scenarios:
+        stream = generate_requests(scenario, config.sources, config.models, 5.0, seed=7)
+        yield scenario, models, simulate(scenario, stream, hw, costs), costs.e_max_mj
+    rng = random.Random(23)
+    for i in range(30):
+        scenario, sources, models, hw, costs = random_setup(rng)
+        first = scenario.model_ids[0]
+        models = {
+            **models,
+            first: replace(models[first], metric_direction=LOWER_IS_BETTER, reported_metric=2.0, achieved_metric=2.7),
+        }
+        costs = _edge_energies(costs)
+        stream = generate_requests(scenario, sources, models, 0.5, seed=i)
+        yield scenario, models, simulate(scenario, stream, hw, costs), costs.e_max_mj
+
+
+def test_model_report_equals_the_reference_fold_bitwise():
+    seen_ends = set()
+    lower_scored = False
+    for scenario, models, log, e_max in _scored_setups():
+        completed = [p for p, st in enumerate(log.status) if st == COMPLETED]
+        seen_ends |= {log.energy_mj[p] / e_max for p in completed} & {0.0, 1.0}
+        for k in (0.0, 10.0, 1000.0, 1e9):  # 1e9 drives the sigmoid's argument to the clamp
+            cfg = ScoringConfig(k=k, e_max_mj=e_max)
+            for model_id in scenario.model_ids:
+                model = models[model_id]
+                rep = model_report(log, model, cfg)
+                means, n = _reference_model_report(log, model, cfg)
+                assert [x.hex() for x in (rep.rt_mean, rep.en_mean, rep.acc_mean, rep.model_score)] == means
+                assert rep.n_processed == n
+                lower_scored |= model.metric_direction == LOWER_IS_BETTER and n > 0 and rep.acc_mean < 1.0
+    assert seen_ends == {0.0, 1.0}
+    assert lower_scored
+
+
+@pytest.mark.parametrize("energy", [10.5, -0.25, math.nan])
+def test_model_report_rejects_an_energy_out_of_range_with_the_reference_message(energy):
+    log = log_of(
+        [_entry("A", 0, COMPLETED, t_end=50_000, energy=1.0), _entry("A", 1, COMPLETED, t_end=50_000, energy=energy)]
+    )
+    with pytest.raises(ScoringError) as reference:
+        energy_score(energy, CFG.e_max_mj)
+    with pytest.raises(ScoringError) as got:
+        model_report(log, MODEL, CFG)
+    assert str(got.value) == str(reference.value) == f"energy {energy} mJ outside [0, 10.0]"

@@ -21,7 +21,13 @@ class TimelineEntry(NamedTuple):
 
 
 def log_of(rows: list[TimelineEntry]) -> EventLog:
-    """The log whose columns hold `rows`, each at its index in the list."""
+    """The log whose columns hold `rows`, each at its index in the list, and
+    whose positions group them by model in ascending request index."""
+    positions: dict[str, list[int]] = {}
+    for p, row in enumerate(rows):
+        positions.setdefault(row.request.model, []).append(p)
+    for ps in positions.values():
+        ps.sort(key=lambda p: rows[p].request.request_index)
     return EventLog(
         scenario="x",
         hardware="h",
@@ -33,6 +39,7 @@ def log_of(rows: list[TimelineEntry]) -> EventLog:
         t_end_us=[row.t_end_us for row in rows],
         status=[row.status for row in rows],
         energy_mj=[row.energy_mj for row in rows],
+        positions=positions,
     )
 
 
