@@ -125,13 +125,16 @@ def cmd_run(args) -> int:
     hw = _load_hardware(args)
     table = _load_costs(args, config, hw)
     cfg = _scoring_config(args, table)
+    scenarios = _scenarios(args, config)
+    for scenario in scenarios:  # a model without requests could not be scored
+        loadgen.check_window(scenario, args.duration)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     # One scenario at a time: its log is dropped once written and scored, so
     # memory is bounded by the largest scenario, not the suite.
     reports = {}
-    for scenario in _scenarios(args, config):
+    for scenario in scenarios:
         log = _simulate_scenario(scenario, config, hw, table, args)
         _write_scenario_outputs(out, scenario.id, log)
         reports[scenario.id] = scoring.scenario_report(log, scenario, config.models, cfg)
@@ -233,8 +236,16 @@ def cmd_score(args) -> int:
         log = runtime.log_from_csv(fh, scenario=scenario.id)
     if args.emax is None:
         raise ConfigError("score requires --emax (the cost table is not available here)")
+    violations = runtime.validate_schedule(log, scenario)
+    if violations:
+        raise ConfigError(f"timeline {args.log}: {violations[0]}")
     cfg = scoring.ScoringConfig(k=args.k, e_max_mj=args.emax)
-    report = scoring.build_report({scenario.id: log}, config, cfg)
+    report = scoring.build_report({scenario.id: log}, config, cfg)  # a model the timeline lacks fails here
+    for model_id in log.positions:
+        if model_id not in scenario.model_ids:
+            raise ConfigError(
+                f"timeline {args.log} holds model {model_id!r}, which scenario {scenario.id!r} does not run"
+            )
     obj = scoring.report_to_obj(report)
     text = json.dumps(obj, indent=2) + "\n"
     if args.out:

@@ -131,6 +131,19 @@ def target_count(target_rate: float, duration: float) -> int:
     return math.floor(target_rate * duration + 0.5)
 
 
+def check_window(scenario: UsageScenario, duration: float) -> None:
+    """Raise ConfigError unless every model of the scenario gets at least one
+    request in a window of `duration` seconds."""
+    if not 0 < duration < math.inf:
+        raise ConfigError("duration must be finite and > 0")
+    for entry in scenario.entries:
+        if target_count(entry.target_rate, duration) < 1:
+            raise ConfigError(
+                f"scenario {scenario.id!r}: a {duration:g} s window gives model {entry.model!r} "
+                f"({entry.target_rate:g} Hz) no request"
+            )
+
+
 def generate_requests(
     scenario: UsageScenario,
     sources: Mapping[str, InputSource],

@@ -586,3 +586,54 @@ def test_an_option_the_subcommand_ignores_is_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_score_rejects_a_timeline_that_breaks_the_schedule(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", "vr-gaming", "--hw", "preset:G:96", "--synthetic", "--duration", "1", "--seed", "7"]
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    good = out / "timeline_vr-gaming.csv"
+    lines = good.read_text().splitlines(keepends=True)
+    es1 = next(i for i, line in enumerate(lines) if line.startswith("ES,1,"))
+    assert ",u2-ws," in lines[es1]
+    lines[es1] = lines[es1].replace(",u2-ws,", ",u0-ws,")  # onto the unit still running ES 0
+    bad = tmp_path / "moved.csv"
+    bad.write_text("".join(lines))
+
+    score = ["score", "--scenario", "vr-gaming", "--emax", "1000", "--log"]
+    assert main([*score, str(good), "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    code = main([*score, str(bad), "--out", str(tmp_path / "b")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: timeline {bad}: occupancy violation on unit u0-ws: ES[0] overlaps ES[1]\n"
+    assert not (tmp_path / "b").exists()
+
+
+def test_score_rejects_a_timeline_holding_a_model_the_scenario_does_not_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", "social-interaction-a", "--hw", "preset:J", "--synthetic", "--duration", "2"]
+    assert main([*argv, "--seed", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    log = out / "timeline_social-interaction-a.csv"
+    code = main(["score", "--scenario", "vr-gaming", "--log", str(log), "--emax", "100"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: timeline {log} holds model 'DR', which scenario 'vr-gaming' does not run\n"
+    assert main(["score", "--scenario", "social-interaction-a", "--log", str(log), "--emax", "100"]) == 0
+
+
+def test_run_rejects_a_window_too_short_for_a_model_before_writing_anything(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["run", "--hw", "preset:J", "--synthetic", "--duration", "0.001", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: scenario 'social-interaction-a': a 0.001 s window gives model 'HT' (30 Hz) no request\n"
+    assert not out.exists()
+    # the check covers every scenario before the first is simulated: at 0.1 s
+    # only the 3 Hz models of the third scenario get no request
+    code = main(["run", "--hw", "preset:J", "--synthetic", "--duration", "0.1", "--out", str(out)])
+    assert code == 2
+    assert "scenario 'outdoor-activity-a': a 0.1 s window gives model 'KD' (3 Hz)" in capsys.readouterr().err
+    assert not out.exists()
