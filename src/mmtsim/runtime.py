@@ -441,8 +441,6 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
         positions.setdefault(r.model, []).append(p)
     request_index = [r.request_index for r in requests]
     for model, ps in positions.items():
-        if list(map(request_index.__getitem__, ps)) == list(range(len(ps))):
-            continue  # in order and whole, as `log_to_csv` writes it
         ps.sort(key=request_index.__getitem__)
         for i, p in enumerate(ps):
             index = request_index[p]
