@@ -30,11 +30,11 @@ print(f"{'t_req':>8s} {'model':>5s} {'frame':>5s} {'unit':>7s} {'t_start':>8s} {
 # the log's columns are indexed by stream position, and the stream is in time order
 columns = zip(log.requests, log.unit, log.t_start_us, log.t_end_us, log.status)
 for r, unit, t_start_us, t_end_us, status in columns:
-    if r.t_req_ms > 100.0:
+    if r.t_req_us / 1000 > 100.0:
         break
     start = f"{t_start_us / 1000:8.3f}" if t_start_us is not None else " " * 8
     end = f"{t_end_us / 1000:8.3f}" if t_end_us is not None else " " * 8
-    print(f"{r.t_req_ms:8.3f} {r.model:>5s} {r.frame_index:5d} {unit or '':>7s} {start} {end}  {status}")
+    print(f"{r.t_req_us / 1000:8.3f} {r.model:>5s} {r.frame_index:5d} {unit or '':>7s} {start} {end}  {status}")
 
 ht_frames = [r.frame_index for r in stream.requests if r.model == "HT"][:8]
 print(f"\nHT frames (every other camera frame): {ht_frames}...")

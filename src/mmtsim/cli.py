@@ -47,12 +47,14 @@ def _load_hardware(args) -> costmodel.HardwareSystem:
     if not args.hw:
         raise ConfigError("--hw is required (a hardware file or preset:<A..M>[:<total PEs>])")
     if args.hw.startswith("preset:"):
-        parts = args.hw.split(":")
+        _, name, *pes = args.hw.split(":")
+        if len(pes) > 1:
+            raise ConfigError(f"--hw {args.hw!r}: expected preset:<A..M>[:<total PEs>]")
         try:
-            total_pes = int(parts[2]) if len(parts) > 2 else 4096
+            total_pes = int(pes[0]) if pes else 4096
         except ValueError:
             raise ConfigError(f"--hw {args.hw!r}: total PEs must be an integer") from None
-        return costmodel.preset_system(parts[1], total_pes=total_pes)
+        return costmodel.preset_system(name, total_pes=total_pes)
     return costmodel.load_hardware_file(args.hw)
 
 
@@ -65,10 +67,6 @@ def _load_costs(args, config: workload.SuiteConfig, hw: costmodel.HardwareSystem
     if args.synthetic:
         return costmodel.synthetic_table(config.models, hw, e_max_mj=args.emax)
     raise ConfigError("either --costs <file> or --synthetic is required")
-
-
-def _scoring_config(args, table: costmodel.CostTable) -> scoring.ScoringConfig:
-    return scoring.ScoringConfig(k=args.k, e_max_mj=table.e_max_mj)
 
 
 def _scenarios(args, config: workload.SuiteConfig) -> list[workload.UsageScenario]:
@@ -124,7 +122,7 @@ def cmd_run(args) -> int:
     config = _load_config(args)
     hw = _load_hardware(args)
     table = _load_costs(args, config, hw)
-    cfg = _scoring_config(args, table)
+    cfg = scoring.ScoringConfig(k=args.k, e_max_mj=table.e_max_mj)
     scenarios = _scenarios(args, config)
     for scenario in scenarios:  # a model without requests could not be scored
         loadgen.check_window(scenario, args.duration)
@@ -174,7 +172,7 @@ def cmd_sweep(args) -> int:
     config = _load_config(args)
     hw = _load_hardware(args)
     table = _load_costs(args, config, hw)
-    cfg = _scoring_config(args, table)
+    cfg = scoring.ScoringConfig(k=args.k, e_max_mj=table.e_max_mj)
     base = config.suite.scenario(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -232,10 +230,10 @@ def cmd_score(args) -> int:
         raise ConfigError("score requires --scenario")
     config = _load_config(args)
     scenario = config.suite.scenario(args.scenario)
-    with workload.open_text_file(args.log, newline="") as fh:
-        log = runtime.log_from_csv(fh, scenario=scenario.id)
     if args.emax is None:
         raise ConfigError("score requires --emax (the cost table is not available here)")
+    with workload.open_text_file(args.log, newline="") as fh:
+        log = runtime.log_from_csv(fh, scenario=scenario.id)
     violations = runtime.validate_schedule(log, scenario)
     if violations:
         raise ConfigError(f"timeline {args.log}: {violations[0]}")

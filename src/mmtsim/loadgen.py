@@ -1,8 +1,7 @@
 """Deterministic generation of jittered inference-request streams.
 
-Time is carried internally as integer microsecond ticks so that identical
-inputs always give bit-identical streams; every public field also exposes
-milliseconds as floats.
+Time is carried as integer microsecond ticks so that identical inputs
+always give bit-identical streams; the timeline CSV gives it in milliseconds.
 """
 
 from __future__ import annotations
@@ -70,14 +69,6 @@ class InferenceRequest(NamedTuple):
     request_index: int
     t_req_us: int
     t_dl_us: int
-
-    @property
-    def t_req_ms(self) -> float:
-        return self.t_req_us / US_PER_MS
-
-    @property
-    def t_dl_ms(self) -> float:
-        return self.t_dl_us / US_PER_MS
 
 
 @dataclass(frozen=True)

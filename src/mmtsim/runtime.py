@@ -318,27 +318,23 @@ def validate_schedule(log: EventLog, scenario: UsageScenario) -> list[str]:
     def name(p: int) -> str:
         return f"{requests[p].model}[{requests[p].request_index}]"
 
-    violations: list[str] = []
-    per_unit: dict[str, list[int]] = {}
-    for p, st in enumerate(status):
-        if st != COMPLETED:
-            continue
-        if t_start_us[p] < requests[p].t_req_us:
-            violations.append(f"{name(p)} started before its request time")
-        per_unit.setdefault(unit[p], []).append(p)
+    done = [p for p, st in enumerate(status) if st == COMPLETED]
+    violations = [f"{name(p)} started before its request time" for p in done if t_start_us[p] < requests[p].t_req_us]
+    # Each unit's runs by (start, end, position): two stable sorts, the minor key first.
+    per_unit: dict[str, list[int]] = {unit[p]: [] for p in done}  # units in the order of their first completed row
+    for p in sorted(sorted(done, key=t_end_us.__getitem__), key=t_start_us.__getitem__):
+        per_unit[unit[p]].append(p)
     for unit_id, ps in per_unit.items():
-        ps.sort(key=lambda p: (t_start_us[p], t_end_us[p]))
         for prev, cur in zip(ps, ps[1:]):
             if t_start_us[cur] < t_end_us[prev]:
                 violations.append(f"occupancy violation on unit {unit_id}: {name(prev)} overlaps {name(cur)}")
 
-    # Each model's positions by frame; a stable sort keeps request index order within a frame.
+    # An edge's two models' positions by frame; a stable sort keeps request index order within a frame.
     frame_of = [r.frame_index for r in requests]
-    by_frame = {m: sorted(ps, key=frame_of.__getitem__) for m, ps in log.positions.items()}
     for edge in scenario.edges():
-        ups = by_frame.get(edge.upstream, [])
+        ups = sorted(log.positions.get(edge.upstream, ()), key=frame_of.__getitem__)
         up_frames = [frame_of[q] for q in ups]
-        for p in by_frame.get(edge.downstream, []):
+        for p in sorted(log.positions.get(edge.downstream, ()), key=frame_of.__getitem__):
             if status[p] != COMPLETED:
                 continue
             k = bisect_right(up_frames, frame_of[p]) - 1
@@ -378,7 +374,8 @@ def log_to_csv(log: EventLog, fh) -> None:
     writer = csv.writer(fh)
     writer.writerow(LOG_CSV_FIELDS)
     writer.writerows(
-        (r.model, r.request_index, r.frame_index, unit, r.t_req_ms, _ms(t_start), _ms(t_end), r.t_dl_ms, status, energy)
+        (r.model, r.request_index, r.frame_index, unit, r.t_req_us / US_PER_MS, _ms(t_start), _ms(t_end),
+         r.t_dl_us / US_PER_MS, status, energy)
         for r, unit, t_start, t_end, status, energy in zip(
             log.requests, log.unit, log.t_start_us, log.t_end_us, log.status, log.energy_mj
         )

@@ -54,25 +54,6 @@ class ScoringConfig:
             raise ScoringError("e_max_mj must be finite and > 0")
 
 
-def rt_score(latency_ms: float, slack_ms: float, k: float) -> float:
-    """Sigmoid of how far the response ran past its slack, in seconds.
-
-    Exactly 0.5 when latency equals slack; constant 0.5 for k = 0.
-    """
-    arg = k * (latency_ms - slack_ms) / 1000.0
-    arg = min(max(arg, -_EXP_CLAMP), _EXP_CLAMP)
-    return 1.0 / (1.0 + math.exp(arg))
-
-
-def energy_score(e_mj: float, e_max_mj: float) -> float:
-    """Linear score: 1 at zero energy, 0 at the configured upper bound."""
-    if e_max_mj <= 0:
-        raise ScoringError("e_max_mj must be > 0")
-    if not 0 <= e_mj <= e_max_mj:  # NaN fails too
-        raise ScoringError(f"energy {e_mj} mJ outside [0, {e_max_mj}]")
-    return (e_max_mj - e_mj) / e_max_mj
-
-
 def accuracy_score(achieved: float, goal: float, direction: str = HIGHER_IS_BETTER) -> float:
     """Ratio of achieved metric to the goal, clamped to [0, 1].
 
@@ -96,10 +77,6 @@ def qoe_score(n_processed: int, n_total: int) -> float:
     if not 0 <= n_processed <= n_total:
         raise ScoringError("n_processed must be in [0, n_total]")
     return n_processed / n_total
-
-
-def per_inference_score(rt: float, en: float, acc: float) -> float:
-    return rt * en * acc
 
 
 class ModelReport(NamedTuple):
@@ -135,9 +112,9 @@ def model_report(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> ModelRe
     """Score one model of a log: means over its completed entries, in
     ascending request index (0 when none completed), and its QoE.
 
-    One pass over the log's columns computes each inference's scores inline,
-    with exactly the float operations, in the same order, of `rt_score`,
-    `energy_score` and `per_inference_score`, which stay the reference.
+    One pass over the log's columns computes each inference's real-time,
+    energy and product scores inline, by README's equations; the tests hold
+    them as separate functions, the reference this loop is checked against.
     """
     acc = accuracy_score(achieved_metric(model), accuracy_goal(model), model.metric_direction)
     counts = log.counts.get(model.id)
@@ -150,7 +127,6 @@ def model_report(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> ModelRe
     requests, status, t_end_us, energy_mj = log.requests, log.status, log.t_end_us, log.energy_mj
     exp = math.exp
     rt_sum = en_sum = acc_sum = product_sum = 0.0
-    n = 0
     for p in log.positions[model.id]:  # ascending request index
         if status[p] != COMPLETED:
             continue
@@ -170,9 +146,9 @@ def model_report(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> ModelRe
         en_sum += en
         acc_sum += acc
         product_sum += rt * en * acc
-        n += 1
-    denom = counts.n_processed + counts.n_dropped  # untriggered requests were never droppable work
-    qoe = qoe_score(counts.n_processed, denom) if denom > 0 else 0.0
+    n = counts.n_processed
+    denom = n + counts.n_dropped  # untriggered requests were never droppable work
+    qoe = qoe_score(n, denom) if denom > 0 else 0.0
     return ModelReport(
         rt_mean=rt_sum / n if n else 0.0,
         en_mean=en_sum / n if n else 0.0,

@@ -1,4 +1,5 @@
-"""A deliberately naive reference dispatcher, written from the stated rules only.
+"""A deliberately naive reference dispatcher, written from the stated rules
+only, and the reference score equations.
 
 It shares no code with `mmtsim.runtime` apart from the request and cost
 types, and favours obviousness over speed: every step rescans every
@@ -32,15 +33,48 @@ The rules it implements:
   round-robin keeps a cursor per unit over the scenario's model list and
   picks, starting after the last model it picked, the first model with a
   ready request (its oldest).
+
+It also holds README's per-inference score equations as plain functions:
+`rt_score`, `energy_score` and `per_inference_score`. `mmtsim.scoring`
+computes them inline in `model_report`, and the tests check that loop
+against these, bitwise.
 """
 
 from __future__ import annotations
 
+import math
+
+from mmtsim.errors import ScoringError
 from mmtsim.loadgen import det_rand
 
 COMPLETED = "completed"
 DROPPED = "dropped"
 UNTRIGGERED = "untriggered"
+
+_EXP_CLAMP = 700.0
+
+
+def rt_score(latency_ms: float, slack_ms: float, k: float) -> float:
+    """Sigmoid of how far the response ran past its slack, in seconds.
+
+    Exactly 0.5 when latency equals slack; constant 0.5 for k = 0.
+    """
+    arg = k * (latency_ms - slack_ms) / 1000.0
+    arg = min(max(arg, -_EXP_CLAMP), _EXP_CLAMP)
+    return 1.0 / (1.0 + math.exp(arg))
+
+
+def energy_score(e_mj: float, e_max_mj: float) -> float:
+    """Linear score: 1 at zero energy, 0 at the configured upper bound."""
+    if e_max_mj <= 0:
+        raise ScoringError("e_max_mj must be > 0")
+    if not 0 <= e_mj <= e_max_mj:  # NaN fails too
+        raise ScoringError(f"energy {e_mj} mJ outside [0, {e_max_mj}]")
+    return (e_max_mj - e_mj) / e_max_mj
+
+
+def per_inference_score(rt: float, en: float, acc: float) -> float:
+    return rt * en * acc
 
 
 def _gate_fires(edge, upstream_frame: int, seed: int) -> bool:

@@ -16,6 +16,7 @@ from mmtsim import (
     CostTable,
     HardwareSystem,
     HardwareUnit,
+    InferenceRequest,
     InputSource,
     ScenarioEntry,
     SuiteConfig,
@@ -33,17 +34,16 @@ from mmtsim.loadgen import target_count
 from mmtsim.runtime import COMPLETED, DROPPED, LATENCY_GREEDY, ROUND_ROBIN, log_from_csv, log_to_csv
 from mmtsim.scoring import (
     ScoringConfig,
-    energy_score,
     model_report,
     overall_score,
     qoe_score,
-    rt_score,
     scenario_report,
 )
 from mmtsim.workload import LOWER_IS_BETTER, accuracy_goal, achieved_metric
 
 from fuzzing import random_setup
-from timelines import rows
+from reference_sim import energy_score, rt_score
+from timelines import TimelineEntry, log_of, rows
 
 
 def _verdict(name, failures):
@@ -52,17 +52,32 @@ def _verdict(name, failures):
     assert not failures, f"{name}: " + "; ".join(str(f) for f in failures)
 
 
+def _one_row_report(t_end_us, t_dl_us, energy_mj, k):
+    """model_report of a log with one request, made at 0 us and completed at `t_end_us`."""
+    request = InferenceRequest("A", 0, 0, 0, t_dl_us)
+    log = log_of([TimelineEntry(request, "u0", 0, t_end_us, COMPLETED, energy_mj)])
+    return model_report(log, UnitModel(id="A", task_tag="t", input_sources=("s",)), ScoringConfig(k=k, e_max_mj=5.0))
+
+
 def test_criterion_1_score_formula_fidelity():
     failures = []
     if rt_score(42.0, 42.0, k=10.0) != 0.5:
         failures.append("rt_score at exactly the deadline is not 0.5")
+    if _one_row_report(42_000, 42_000, 0.0, k=10.0).rt_mean != 0.5:
+        failures.append("model_report's rt at exactly the deadline is not 0.5")
     rng = random.Random(1)
     for _ in range(100):
         if rt_score(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4), k=0.0) != 0.5:
             failures.append("rt_score with k=0 is not constant 0.5")
             break
+    for _ in range(100):
+        if _one_row_report(rng.randrange(10**7), rng.randrange(10**7), 0.0, k=0.0).rt_mean != 0.5:
+            failures.append("model_report's rt with k=0 is not constant 0.5")
+            break
     if energy_score(0.0, 5.0) != 1.0 or energy_score(5.0, 5.0) != 0.0:
         failures.append("energy_score endpoints are not exact")
+    if _one_row_report(1, 0, 0.0, k=10.0).en_mean != 1.0 or _one_row_report(1, 0, 5.0, k=10.0).en_mean != 0.0:
+        failures.append("model_report's energy endpoints are not exact")
     if abs(qoe_score(529, 1000) - (1.0 - 0.471)) > 1e-9:
         failures.append("qoe at a 0.471 drop rate is not 0.529")
     _verdict("score-formula fidelity", failures)

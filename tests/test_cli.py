@@ -220,10 +220,11 @@ def test_sweep_emits_one_row_per_value(tmp_path):
 
 
 def test_non_integer_preset_pes_is_a_config_error(tmp_path, capsys):
-    code = main(["run", "--hw", "preset:J:abc", "--synthetic", "--out", str(tmp_path / "o")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "preset:J:abc" in err
+    for spec in ("preset:J:abc", "preset:J:4096:9"):
+        code = main(["run", "--hw", spec, "--synthetic", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and spec in err
 
 
 def test_unknown_scenario_is_a_config_error(tmp_path, capsys):
@@ -637,3 +638,10 @@ def test_run_rejects_a_window_too_short_for_a_model_before_writing_anything(tmp_
     assert code == 2
     assert "scenario 'outdoor-activity-a': a 0.1 s window gives model 'KD' (3 Hz)" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_score_without_emax_is_a_config_error_before_the_timeline_is_read(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code = main(["score", "--scenario", "vr-gaming", "--log", str(missing)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: score requires --emax (the cost table is not available here)\n"

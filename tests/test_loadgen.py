@@ -73,17 +73,17 @@ def _one_model_requests(source: InputSource, target_rate: float) -> tuple[Infere
 
 
 def test_request_time_examples():
-    assert _one_model_requests(QUIET_CAMERA, 60.0)[2].t_req_ms == pytest.approx(2 * 1000 / 60, abs=1e-3)
+    assert _one_model_requests(QUIET_CAMERA, 60.0)[2].t_req_us / 1000 == pytest.approx(2 * 1000 / 60, abs=1e-3)
     mic = InputSource("microphone", streaming_rate=3.0)
-    assert _one_model_requests(mic, 3.0)[0].t_req_ms == 0.0
+    assert _one_model_requests(mic, 3.0)[0].t_req_us / 1000 == 0.0
     delayed = InputSource("cam", streaming_rate=60.0, init_latency=5.0)
-    assert _one_model_requests(delayed, 60.0)[0].t_req_ms == pytest.approx(5.0)
+    assert _one_model_requests(delayed, 60.0)[0].t_req_us / 1000 == pytest.approx(5.0)
 
 
 def test_deadline_examples():
-    assert _one_model_requests(QUIET_CAMERA, 30.0)[0].t_dl_ms == pytest.approx(1000 / 30, abs=1e-3)
-    assert _one_model_requests(QUIET_CAMERA, 60.0)[1].t_dl_ms == pytest.approx(2 * 1000 / 60, abs=1e-3)
-    assert _one_model_requests(QUIET_CAMERA, 1.0)[0].t_dl_ms == pytest.approx(1000.0)
+    assert _one_model_requests(QUIET_CAMERA, 30.0)[0].t_dl_us / 1000 == pytest.approx(1000 / 30, abs=1e-3)
+    assert _one_model_requests(QUIET_CAMERA, 60.0)[1].t_dl_us / 1000 == pytest.approx(2 * 1000 / 60, abs=1e-3)
+    assert _one_model_requests(QUIET_CAMERA, 1.0)[0].t_dl_us / 1000 == pytest.approx(1000.0)
     # a jittered source moves arrivals, never deadlines
     jittered, quiet = _one_model_requests(CAMERA, 30.0), _one_model_requests(QUIET_CAMERA, 30.0)
     assert [r.t_dl_us for r in jittered] == [r.t_dl_us for r in quiet]
@@ -116,7 +116,7 @@ def test_inference_request_is_an_immutable_value():
     twin = InferenceRequest(model="HT", frame_index=4, request_index=2, t_req_us=66_667, t_dl_us=100_000)
     assert r == twin and hash(r) == hash(twin)
     assert r != InferenceRequest("HT", 4, 2, 66_667, 100_001)
-    assert (r.t_req_ms, r.t_dl_ms, r.t_dl_us - r.t_req_us) == (66.667, 100.0, 33_333)
+    assert (r.t_req_us / 1000, r.t_dl_us / 1000, r.t_dl_us - r.t_req_us) == (66.667, 100.0, 33_333)
 
 
 def _stream(*requests):
@@ -174,7 +174,7 @@ def test_multi_modal_request_time_is_max_over_sources():
     scenario = UsageScenario(id="s", entries=(ScenarioEntry(model="DR", target_rate=30.0),))
     stream = generate_requests(scenario, sources, models, 1.0, seed=0)
     first = stream.requests[0]
-    assert first.t_req_ms == pytest.approx(4.0 + first.frame_index * 1000 / 60, abs=1e-3)  # lidar starts 4 ms later
+    assert first.t_req_us / 1000 == pytest.approx(4.0 + first.frame_index * 1000 / 60, abs=1e-3)  # lidar starts 4 ms later
 
 
 def test_invalid_scenario_rejected():

@@ -214,7 +214,7 @@ def test_drop_superseded_rules():
     # A1 waits from 100 ms while B1 arrives and runs: another model never supersedes it
     assert a[1].status == COMPLETED and a[1].t_start_us == 152_000
     # A2 arrives at 200 ms while A1 runs: a launched request is never dropped
-    assert a[2].request.t_req_ms == 200.0 and a[1].t_end_us == 302_000
+    assert a[2].request.t_req_us / 1000 == 200.0 and a[1].t_end_us == 302_000
     # A2 and B2 are still waiting when A3 and B3 arrive at 300 ms: both are dropped
     assert [e.status for e in a] == [COMPLETED, COMPLETED, DROPPED, COMPLETED]
     assert [e.status for e in b] == [COMPLETED, COMPLETED, DROPPED, COMPLETED]

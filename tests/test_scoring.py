@@ -13,12 +13,9 @@ from mmtsim.scoring import (
     ScoringConfig,
     accuracy_score,
     build_report,
-    energy_score,
     model_report,
     overall_score,
-    per_inference_score,
     qoe_score,
-    rt_score,
     report_to_obj,
     scenario_report,
     suite_report,
@@ -36,6 +33,7 @@ from mmtsim.workload import (
 )
 
 from fuzzing import random_setup
+from reference_sim import energy_score, per_inference_score, rt_score
 from timelines import TimelineEntry, log_of, rows
 
 
