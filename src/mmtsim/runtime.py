@@ -16,9 +16,11 @@ then free units, lowest id first, each take one ready request by the policy.
 Policies: a model has at most one ready request (a newer arrival drops the
 one waiting), so a policy picks among models. "latency-greedy" takes the
 request with the lowest cost-table latency on the freeing unit, then the
-earliest deadline, then the lowest model id. "round-robin" keeps one cursor
-per unit: the unit takes the first ready model after its previous pick in
-the scenario's model order, wrapping around. A lone ready request is taken
+earliest deadline, then the lowest model id. It scans the unit's models in
+(latency, id) order, sorted when the unit first compares, and compares
+deadlines only among equal latencies. "round-robin" keeps one cursor per
+unit: the unit takes the first ready model after its previous pick in the
+scenario's model order, wrapping around. A lone ready request is taken
 without comparing (round-robin still moves the unit's cursor to it).
 
 State: per-request state lives in flat lists indexed by stream position.
@@ -30,13 +32,16 @@ each model's positions in request index order, and the dependency anchors.
 Anchors name edges by number, so each run gates with its own scenario's
 edges. The event loop, the drop rule and both policies read the columns, not
 the requests' attributes; a run copies the plan's counts of unresolved
-dependencies and changes nothing else in it. The log a run returns shares
-the plan's per-model positions through a read-only view, so neither the log
-nor its reader can change a later run. The stream itself is not touched. A
-request's status is set exactly once, when it launches (completed) or fails
-(dropped or untriggered); requests still waiting when the stream runs out
-are dropped. A failed anchor never completes, so its edges never fire and
-its dependents never launch.
+dependencies and changes nothing else in it. The ready set is kept across
+events: a request joins it on arrival with no unresolved dependency, or when
+its last gate fires while it waits, and leaves it on launch or drop. A
+stream holding a model the scenario does not run is a ConfigError. The log a
+run returns shares the plan's per-model positions through a read-only view,
+so neither the log nor its reader can change a later run. The stream itself
+is not touched. A request's status is set exactly once, when it launches
+(completed) or fails (dropped or untriggered); requests still waiting when
+the stream runs out are dropped. A failed anchor never completes, so its
+edges never fire and its dependents never launch.
 
 A single simulation is strictly single-threaded and deterministic; multiple
 simulations can run concurrently since all inputs are immutable (concurrent
@@ -231,9 +236,15 @@ def simulate(
     model_of, req_of, dl_of, positions, dependents, anchored = _plan(stream, pairs)
     unresolved = anchored.copy()  # anchored dependencies not yet fired true
 
+    for model in positions:  # every pick below reads the scenario's models only
+        if model not in lat_ms:
+            raise ConfigError(f"stream holds requests of model {model!r}, which scenario {scenario.id!r} does not run")
+
     completions: list[tuple[int, int, int]] = []  # (t_end_us, unit rank, position)
     free = list(range(len(units)))  # ranks of idle units, ascending
     pending: dict[str, int] = {}  # model -> its arrived, waiting request
+    ready: dict[str, int] = {}  # the pending requests with no unresolved dependency
+    by_latency: list[list[tuple[float, str]] | None] = [None] * len(units)  # rank -> (latency, model), sorted
     cursor = 0
     while cursor < n or completions:
         if completions and (cursor == n or completions[0][0] <= req_of[cursor]):
@@ -250,10 +261,12 @@ def simulate(
                 for e, d in dependents[p]:
                     if status[d] is not None:
                         continue
+                    model = model_of[d]
                     if eval_control_gate(edges[e], up_frame, stream.seed):
                         unresolved[d] -= 1
-                    else:
-                        model = model_of[d]
+                        if not unresolved[d] and pending.get(model) == d:
+                            ready[model] = d
+                    else:  # d is not ready: this edge is one of its unresolved dependencies
                         if pending.get(model) == d:
                             del pending[model]
                         status[d] = UNTRIGGERED
@@ -266,25 +279,35 @@ def simulate(
             prev = pending.pop(model, None)
             if prev is not None:
                 status[prev] = DROPPED
+                ready.pop(model, None)
             if status[p] is None:
                 pending[model] = p
+                if not unresolved[p]:
+                    ready[model] = p
 
         # Free units, lowest rank first, take the policy's pick of the ready set.
-        if not (free and pending):
-            continue
-        ready = [p for p in pending.values() if not unresolved[p]]
         while ready and free:
             rank = free.pop(0)
             if len(ready) == 1:
-                p = ready[0]
+                model = next(iter(ready))
             elif policy == LATENCY_GREEDY:
-                p = min(ready, key=lambda q: (lat_ms[model_of[q]][rank], dl_of[q], model_of[q]))
+                ranked = by_latency[rank]
+                if ranked is None:
+                    ranked = by_latency[rank] = sorted((lat_ms[m][rank], m) for m in lat_ms)
+                i = 0
+                while ranked[i][1] not in ready:
+                    i += 1
+                lat, model = ranked[i]
+                for tied_lat, m in ranked[i + 1 :]:  # ties on latency come in id order
+                    if tied_lat != lat:
+                        break
+                    if m in ready and dl_of[ready[m]] < dl_of[ready[model]]:
+                        model = m
             else:
-                p = min(ready, key=lambda q: (order[model_of[q]] - last[rank] - 1) % len(order))
+                model = min(ready, key=lambda m: (order[m] - last[rank] - 1) % len(order))
             if policy == ROUND_ROBIN:
-                last[rank] = order[model_of[p]]
-            ready.remove(p)
-            model = model_of[p]
+                last[rank] = order[model]
+            p = ready.pop(model)
             del pending[model]
             status[p] = COMPLETED
             unit[p] = unit_ids[rank]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from mmtsim import (
     CostEntry,
@@ -75,3 +76,10 @@ def random_setup(rng: random.Random):
     ]
     costs = CostTable(cost_entries, e_max_mj=e_max)
     return scenario, sources, models, hw, costs
+
+
+def with_tied_latencies(rng: random.Random, costs: CostTable) -> CostTable:
+    """The cost table with each latency drawn from three values, so that
+    models tie on a unit; latencies this long keep small setups' units busy,
+    so tied models also wait together."""
+    return CostTable([replace(e, latency_ms=rng.choice((10.0, 20.0, 40.0))) for e in costs.entries()], costs.e_max_mj)

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,30 @@ def test_each_metric_is_summarized_by_its_median_and_iqr():
     assert wall["median"] == pytest.approx(1.2)
     assert wall["iqr"] == pytest.approx(1.3 - 1.1)
     assert wall["values"] == [1.4, 1.0, 1.2, 1.1, 1.3] and wall["unit"] == "s"
+
+
+def test_every_run_starts_without_a_bytecode_cache(monkeypatch):
+    calls = []
+
+    def fake_run(cmd, cwd, capture_output, text, env):
+        cache = env["PYTHONPYCACHEPREFIX"]
+        calls.append((cmd, cache, os.listdir(cache), env["PYTHONDONTWRITEBYTECODE"]))
+        return subprocess.CompletedProcess(cmd, 0, stdout=_stdout(1.0), stderr="")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    for seed in (7, 8):
+        assert bench_record.result_of(bench_record.run_perfbench("suite-cli", seed, trace=0))["correct"]
+    assert [cmd[cmd.index("--seed") + 1] for cmd, *_ in calls] == ["7", "8"]
+    (_, first, first_files, first_flag), (_, second, second_files, second_flag) = calls
+    assert first != second and first_files == second_files == [] and first_flag == second_flag == "1"
+    assert not os.path.exists(first) and not os.path.exists(second)
+
+
+def test_the_point_records_that_its_runs_had_no_bytecode_cache(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "git", lambda *args: "")
+    monkeypatch.setattr(bench_record, "record_workload", lambda workload: {"correct": True})
+    assert bench_record.main(["--pr", "0"]) == 0
+    settings = json.loads((tmp_path / "BENCH_0.json").read_text())["settings"]
+    assert settings["env"] == {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": "a fresh, empty directory per run"}

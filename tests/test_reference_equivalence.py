@@ -10,7 +10,7 @@ from mmtsim.costmodel import preset_system
 from mmtsim.runtime import DROPPED, LATENCY_GREEDY, ROUND_ROBIN, UNTRIGGERED
 from mmtsim.workload import UsageScenario, with_edge_probability
 
-from fuzzing import random_setup
+from fuzzing import random_setup, with_tied_latencies
 from reference_sim import reference_simulate
 from timelines import rows
 
@@ -44,6 +44,23 @@ def test_fuzzed_setups_match_reference(policy):
         scenario, sources, models, hw, costs = random_setup(rng)
         stream = generate_requests(scenario, sources, models, 0.5, seed=i)
         _assert_same(scenario, stream, hw, costs, policy)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_fuzzed_setups_with_latency_ties_match_reference(policy):
+    # random costs never tie; with tied latencies, latency-greedy compares
+    # the deadlines of tied models waiting together, then their ids
+    rng = random.Random(5151)
+    tied = 0
+    for i in range(40):
+        scenario, sources, models, hw, costs = random_setup(rng)
+        costs = with_tied_latencies(rng, costs)
+        for u in hw.units:
+            latencies = [costs.lookup(m, u.id).latency_ms for m in scenario.model_ids]
+            tied += len(set(latencies)) < len(latencies)
+        stream = generate_requests(scenario, sources, models, 0.5, seed=i)
+        _assert_same(scenario, stream, hw, costs, policy)
+    assert tied >= 20
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -1,14 +1,23 @@
-"""Relations between runs: two `mmtsim run`s whose inputs differ in a way the
-outputs must not see, compared byte for byte. Neither side needs an expected
-answer, so a relation catches faults an oracle shares with the code, such as
-a result that depends on input order or on which other scenarios ran."""
+"""Relations between runs: two runs whose inputs differ in a way the outputs
+must not see, or must see only as a stated change, compared exactly. Neither
+side needs an expected answer, so a relation catches faults an oracle shares
+with the code, such as a result that depends on input order, on which other
+scenarios ran, on absolute time or on a seed where nothing is random."""
 
 import json
 import random
+from dataclasses import replace
 
-from mmtsim import builtin_config
+import pytest
+
+from mmtsim import ScoringConfig, builtin_config, generate_requests, simulate
 from mmtsim.cli import main
 from mmtsim.costmodel import preset_system, synthetic_table, system_to_obj, table_to_obj
+from mmtsim.runtime import LATENCY_GREEDY, ROUND_ROBIN
+from mmtsim.scoring import scenario_report
+from mmtsim.workload import with_edge_probability
+
+from fuzzing import random_setup, with_tied_latencies
 
 RUN = ["run", "--duration", "3", "--seed", "7"]
 
@@ -63,3 +72,47 @@ def test_the_order_of_hardware_units_and_cost_entries_changes_no_output(tmp_path
                 assert _without_run_config(got[name]) == _without_run_config(given[name])
             else:
                 assert got[name] == given[name], name
+
+
+def _report(log, scenario, models, costs):
+    return scenario_report(log, scenario, models, ScoringConfig(e_max_mj=costs.e_max_mj))
+
+
+@pytest.mark.parametrize("policy", [LATENCY_GREEDY, ROUND_ROBIN])
+def test_starting_every_source_3_ms_later_shifts_every_run_by_3_ms_and_nothing_else(policy):
+    rng = random.Random(3000)
+    for i in range(40):
+        scenario, sources, models, hw, costs = random_setup(rng)
+        later = {sid: replace(s, init_latency=s.init_latency + 3.0) for sid, s in sources.items()}
+        base, shifted = (
+            simulate(scenario, generate_requests(scenario, s, models, 1.0, seed=i), hw, costs, policy)
+            for s in (sources, later)
+        )
+        assert [(r.t_req_us + 3000, r.t_dl_us + 3000) for r in base.requests] == [
+            (r.t_req_us, r.t_dl_us) for r in shifted.requests
+        ]
+        for column in ("t_start_us", "t_end_us"):
+            moved = [None if t is None else t + 3000 for t in getattr(base, column)]
+            assert getattr(shifted, column) == moved, (i, column)
+        assert (shifted.status, shifted.unit, shifted.energy_mj) == (base.status, base.unit, base.energy_mj), i
+        assert _report(shifted, scenario, models, costs) == _report(base, scenario, models, costs), i
+
+
+@pytest.mark.parametrize("policy", [LATENCY_GREEDY, ROUND_ROBIN])
+def test_the_seed_changes_nothing_without_jitter_or_a_gate_between_0_and_1(policy):
+    # tied latencies as well, so that no seed can decide a tie either
+    rng = random.Random(12345)
+    for i in range(40):
+        scenario, sources, models, hw, costs = random_setup(rng)
+        if i % 2:
+            costs = with_tied_latencies(rng, costs)
+        sources = {sid: replace(s, max_jitter=0.0) for sid, s in sources.items()}
+        for e in scenario.edges():
+            scenario = with_edge_probability(scenario, e.upstream, e.downstream, float(e.trigger_probability >= 0.5))
+        first, second = (
+            simulate(scenario, generate_requests(scenario, sources, models, 1.0, seed=seed), hw, costs, policy)
+            for seed in (7, 12345)
+        )
+        for column in ("requests", "unit", "t_start_us", "t_end_us", "status", "energy_mj", "counts"):
+            assert getattr(first, column) == getattr(second, column), (i, column)
+        assert _report(first, scenario, models, costs) == _report(second, scenario, models, costs), i

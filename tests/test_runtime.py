@@ -287,6 +287,17 @@ def test_unknown_policy_is_a_config_error():
         simulate(scenario, stream, hw, costs, policy="fifo")
 
 
+@pytest.mark.parametrize("policy", ["latency-greedy", "round-robin"])
+def test_a_stream_holding_a_model_the_scenario_does_not_run_is_a_config_error(policy):
+    config = builtin_config()
+    scenario = config.suite.scenario("vr-gaming")
+    stream = generate_requests(scenario, config.sources, config.models, 1.0, seed=7)
+    stream = replace(stream, requests=stream.requests + (InferenceRequest("XX", 0, 0, 5, 100000),))
+    hw = preset_system("J", total_pes=96)
+    with pytest.raises(ConfigError, match="model 'XX', which scenario 'vr-gaming' does not run"):
+        simulate(scenario, stream, hw, synthetic_table(config.models, hw), policy=policy)
+
+
 def test_missing_cost_entry_fails_before_simulation():
     scenario, stream, hw, _ = single_model_setup(rate=2.0, latency_ms=1.0)
     empty = CostTable([], e_max_mj=1.0)

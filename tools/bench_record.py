@@ -7,8 +7,11 @@ Usage (from the repository root):
 For each perfbench workload, this runs `perfbench/run.py` in a subprocess,
 one run at a time: untraced at `--seconds 25` once for each seed in SEEDS,
 then once traced at seed 7. The seed-7 untraced run gives the output digest,
-which CI pins at that seed. It writes `BENCH_<pr>.json` at the repository
-root with, per workload:
+which CI pins at that seed. Every run starts without a bytecode cache: with
+`PYTHONDONTWRITEBYTECODE=1` and a fresh, empty `PYTHONPYCACHEPREFIX`, it
+compiles every module it imports from source and writes no cache, so
+`setup_s` does not depend on what the checkout or an earlier run left. It
+writes `BENCH_<pr>.json` at the repository root with, per workload:
 
 - the median and interquartile range of each end-to-end metric over the
   untraced runs, with the values of every run;
@@ -30,6 +33,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,13 +42,16 @@ WORKLOADS = ("suite-cli", "preset-sweep", "fuzz-pipelines")
 SECONDS = 25
 SEEDS = (7, 8, 9, 10, 11)
 DIGEST_SEED = 7
+NO_BYTECODE_CACHE = {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": "a fresh, empty directory per run"}
 
 
 def run_perfbench(workload: str, seed: int, trace: int) -> str:
     """The standard output of one perfbench run; a failed run raises."""
     cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(SECONDS), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+        done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, env=env)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}: {done.stderr.strip()}")
     return done.stdout
@@ -105,7 +112,7 @@ def main(argv=None) -> int:
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "settings": {"seconds": SECONDS, "seeds": list(SEEDS), "traced_seed": DIGEST_SEED},
+        "settings": {"seconds": SECONDS, "seeds": list(SEEDS), "traced_seed": DIGEST_SEED, "env": NO_BYTECODE_CACHE},
         "workloads": {w: record_workload(w) for w in WORKLOADS},
     }
     out = ROOT / f"BENCH_{args.pr}.json"
