@@ -21,7 +21,7 @@ HDA = "HDA"
 MACS_PER_PE_PER_CYCLE = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HardwareUnit:
     """One accelerator instance: a dataflow style and a PE array."""
 
@@ -49,7 +49,7 @@ class HardwareUnit:
             raise ConfigError(f"unit {self.id!r}: power_watts must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HardwareSystem:
     """A named accelerator system: one unit (FDA) or several (SFDA/HDA)."""
 
@@ -70,7 +70,7 @@ class HardwareSystem:
             raise ConfigError(f"system {self.id!r}: FDA systems have exactly one unit")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostEntry:
     """Latency (ms) and energy (mJ) of one model on one unit."""
 
@@ -93,6 +93,8 @@ class CostTable:
     non-negative; e_max has no sensible universal default, so it is required
     configuration.
     """
+
+    __slots__ = ("e_max_mj", "_entries")
 
     def __init__(self, entries: Iterable[CostEntry], e_max_mj: float):
         if not 0 < e_max_mj < math.inf:

@@ -2,6 +2,9 @@
 
 Time is carried as integer microsecond ticks so that identical inputs
 always give bit-identical streams; the timeline CSV gives it in milliseconds.
+A stream is built column-wise: each source's arrivals, for every frame some
+model samples, come in one batch, whose variates hash the keyed prefix
+"{seed}|{source}|" once and each frame on from a copy.
 """
 
 from __future__ import annotations
@@ -9,12 +12,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from statistics import NormalDist
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError
-from .workload import InputSource, UnitModel, UsageScenario, validate_scenario
+from .workload import InputSource, ScenarioEntry, UnitModel, UsageScenario, validate_scenario
 
 US_PER_MS = 1000
 US_PER_S = 1_000_000
@@ -23,16 +27,39 @@ _NORMAL = NormalDist()
 _JITTER_SIGMA = 1.0 / 6.0
 
 
+def det_rands(seed: int, source: str, frames: Iterable[int]) -> list[float]:
+    """`det_rand(seed, source, frame)` for each of `frames`: the keyed prefix
+    "{seed}|{source}|" is hashed once, and each frame hashes on from a copy."""
+    keyed = hashlib.blake2b(f"{seed}|{source}|".encode("utf-8"), digest_size=8)
+    values = []
+    for frame in frames:
+        h = keyed.copy()
+        h.update(f"{frame}".encode("utf-8"))
+        values.append(int.from_bytes(h.digest(), "big") / 2**64)
+    return values
+
+
 def det_rand(seed: int, source: str, frame: int) -> float:
     """A pure, uniform-ish variate in [0, 1) keyed by (seed, source, frame).
 
-    Implemented as a keyed blake2b hash of the inputs; identical arguments
-    always give the identical value, across processes and platforms.
+    Implemented as a blake2b hash of "{seed}|{source}|{frame}"; identical
+    arguments always give the identical value, across processes and platforms.
     """
-    digest = hashlib.blake2b(
-        f"{seed}|{source}|{frame}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") / 2**64
+    return det_rands(seed, source, (frame,))[0]
+
+
+def jitter_offsets(source: InputSource, frames: Sequence[int], seed: int) -> list[float]:
+    """`jitter_offset(source, frame, seed)` for each of `frames`."""
+    if source.max_jitter == 0.0:
+        return [0.0] * len(frames)
+    scale = source.max_jitter * 2.0
+    offsets = []
+    for u in det_rands(seed, source.id, frames):
+        u = min(max(u, 1e-12), 1.0 - 1e-12)
+        g = 0.5 + _JITTER_SIGMA * _NORMAL.inv_cdf(u)
+        g = min(max(g, 0.0), 1.0)
+        offsets.append(scale * (g - 0.5))
+    return offsets
 
 
 def jitter_offset(source: InputSource, frame: int, seed: int) -> float:
@@ -41,24 +68,14 @@ def jitter_offset(source: InputSource, frame: int, seed: int) -> float:
     The uniform variate is pushed through a truncated Gaussian centered at
     0.5 (sigma 1/6, clamped to [0, 1]), then scaled to the jitter bound.
     """
-    if source.max_jitter == 0.0:
-        return 0.0
-    u = det_rand(seed, source.id, frame)
-    u = min(max(u, 1e-12), 1.0 - 1e-12)
-    g = 0.5 + _JITTER_SIGMA * _NORMAL.inv_cdf(u)
-    g = min(max(g, 0.0), 1.0)
-    return source.max_jitter * 2.0 * (g - 0.5)
+    return jitter_offsets(source, (frame,), seed)[0]
 
 
-def _request_time_us(source: InputSource, frame: int, seed: int) -> int:
-    """Arrival of frame `frame` of `source`: init latency, periodic position, jitter."""
-    base = round(source.init_latency * US_PER_MS) + round(frame * US_PER_S / source.streaming_rate)
-    return base + round(jitter_offset(source, frame, seed) * US_PER_MS)
-
-
-def _deadline_us(target_rate: float, request_index: int, init_latency_ms: float) -> int:
-    """A model's k-th deadline: k+1 target-rate periods after its init latency; never jittered."""
-    return round(init_latency_ms * US_PER_MS) + round((request_index + 1) * US_PER_S / target_rate)
+def _arrivals_us(source: InputSource, frames: Sequence[int], seed: int) -> list[int]:
+    """Arrival of each of `frames` of `source`: init latency, periodic position, jitter."""
+    init_us, rate = round(source.init_latency * US_PER_MS), source.streaming_rate
+    jitters = jitter_offsets(source, frames, seed)
+    return [init_us + round(f * US_PER_S / rate) + round(j * US_PER_MS) for f, j in zip(frames, jitters)]
 
 
 class InferenceRequest(NamedTuple):
@@ -154,24 +171,29 @@ def generate_requests(
     if violations:
         raise ConfigError(f"invalid scenario {scenario.id!r}: " + "; ".join(violations))
 
-    requests: list[InferenceRequest] = []
-    # each (source id, frame) arrival once, however many models sample it
-    arrivals: dict[tuple[str, int], int] = {}
+    # Every frame some model samples, per source; then each source's arrivals in one batch.
+    sampled: list[tuple[ScenarioEntry, list[InputSource], list[int]]] = []  # (entry, its sources, its frames)
+    frames_of: dict[str, set[int]] = {}
     for entry in scenario.entries:
-        model = models[entry.model]
-        srcs = [sources[s] for s in model.input_sources]
-        drive_rate = min(s.streaming_rate for s in srcs)
-        init_ms = max(s.init_latency for s in srcs)
+        srcs = [sources[sid] for sid in models[entry.model].input_sources]
         count = target_count(entry.target_rate, duration)
-        for k, frame in enumerate(select_frames(entry.target_rate, drive_rate, count)):
-            times = []
-            for s in srcs:
-                t = arrivals.get((s.id, frame))
-                if t is None:
-                    t = arrivals[s.id, frame] = _request_time_us(s, frame, seed)
-                times.append(t)
-            t_req = max(times)
-            t_dl = _deadline_us(entry.target_rate, k, init_ms)
-            requests.append(InferenceRequest(entry.model, frame, k, t_req, t_dl))
+        frames = select_frames(entry.target_rate, min(s.streaming_rate for s in srcs), count)
+        for s in srcs:
+            frames_of.setdefault(s.id, set()).update(frames)
+        sampled.append((entry, srcs, frames))
+    arrivals: dict[str, dict[int, int]] = {}  # source id -> frame -> arrival
+    for sid, frame_set in frames_of.items():
+        frames = sorted(frame_set)
+        arrivals[sid] = dict(zip(frames, _arrivals_us(sources[sid], frames, seed)))
+
+    requests: list[InferenceRequest] = []
+    for entry, srcs, frames in sampled:
+        columns = [map(arrivals[s.id].__getitem__, frames) for s in srcs]
+        t_req = map(max, *columns) if len(columns) > 1 else columns[0]  # the latest of its sources
+        # a model's k-th deadline: k+1 target-rate periods after its init latency; never jittered
+        init_us = round(max(s.init_latency for s in srcs) * US_PER_MS)
+        t_dl = [init_us + round(k * US_PER_S / entry.target_rate) for k in range(1, len(frames) + 1)]
+        rows = zip(repeat(entry.model), frames, range(len(frames)), t_req, t_dl)
+        requests += map(tuple.__new__, repeat(InferenceRequest), rows)  # InferenceRequest(*row), without a Python call
     return RequestStream(scenario=scenario.id, duration=duration, seed=seed, requests=tuple(requests))
 

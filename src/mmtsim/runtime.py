@@ -26,9 +26,10 @@ without comparing (round-robin still moves the unit's cursor to it).
 State: per-request state lives in flat lists indexed by stream position.
 What depends on the stream alone comes from a per-stream plan, built once
 per edge shape (the scenario's (downstream, upstream) model pairs) and kept
-in this module while the stream object lives: the columns `model_of`,
-`req_of` and `dl_of` (each position's model, request time and deadline),
-each model's positions in request index order, and the dependency anchors.
+while the stream object lives: the columns `model_of`, `req_of` and `dl_of`
+(each position's model, request time and deadline, transposed from the
+requests in one `zip`), each model's positions in request index order, and
+the dependency anchors, which each edge finds in the frame column.
 Anchors name edges by number, so each run gates with its own scenario's
 edges. The event loop, the drop rule and both policies read the columns, not
 the requests' attributes; a run copies the plan's counts of unresolved
@@ -167,14 +168,11 @@ def _plan(stream: RequestStream, pairs: tuple[tuple[str, str], ...]) -> _Plan:
         return plan
     requests = stream.requests
     n = len(requests)
+    model_of, frame_of, _, req_of, dl_of = map(list, zip(*requests)) if n else ([], [], [], [], [])
     # A model's positions come in request index and frame order (the stream's invariant).
-    model_of: list[str] = []
     by_model: dict[str, list[int]] = {}
-    for p, r in enumerate(requests):
-        model_of.append(r.model)
-        by_model.setdefault(r.model, []).append(p)
-    req_of = [r.t_req_us for r in requests]
-    dl_of = [r.t_dl_us for r in requests]
+    for p, model in enumerate(model_of):
+        by_model.setdefault(model, []).append(p)
     positions = MappingProxyType({model: tuple(ps) for model, ps in by_model.items()})
 
     # Anchor each dependency edge of a request to the latest upstream request
@@ -183,9 +181,9 @@ def _plan(stream: RequestStream, pairs: tuple[tuple[str, str], ...]) -> _Plan:
     unresolved = [0] * n
     for e, (model_id, upstream) in enumerate(pairs):
         ups = positions.get(upstream, ())
-        up_frames = [requests[q].frame_index for q in ups]
+        up_frames = [frame_of[q] for q in ups]
         for p in positions.get(model_id, ()):
-            k = bisect_right(up_frames, requests[p].frame_index) - 1
+            k = bisect_right(up_frames, frame_of[p]) - 1
             if k < 0:
                 continue  # no upstream frame precedes; nothing to wait on
             dependents.setdefault(ups[k], []).append((e, p))
@@ -412,15 +410,15 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
     Statuses are this module's constants, and each distinct model id and unit
     id is one string object, not one per row."""
     reader = csv.reader(fh)
-    header = next(reader, [])
-    missing = [f for f in LOG_CSV_FIELDS if f not in header]
-    if missing:
-        raise ConfigError(f"timeline CSV lacks column(s) {', '.join(missing)}")
-    pick = itemgetter(*(header.index(f) for f in LOG_CSV_FIELDS))
     requests, unit, t_start_us, t_end_us, status, energy_mj = [], [], [], [], [], []
     statuses = {s: s for s in (COMPLETED, DROPPED, UNTRIGGERED)}
     ids: dict[str, str] = {}
     try:  # each check raises ValueError, like a field that is not a (finite) number
+        header = next(reader, [])
+        missing = [f for f in LOG_CSV_FIELDS if f not in header]
+        if missing:
+            raise ConfigError(f"timeline CSV lacks column(s) {', '.join(missing)}")
+        pick = itemgetter(*(header.index(f) for f in LOG_CSV_FIELDS))
         for row in reader:
             if not row:
                 continue
@@ -450,7 +448,9 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
             t_end_us.append(end)
             status.append(statuses[st])
             energy_mj.append(float(energy))
-    except (ValueError, OverflowError) as exc:
+    except UnicodeDecodeError as exc:  # raised decoding a chunk ahead of the reader, so its line is unknown
+        raise ConfigError(f"timeline CSV is not UTF-8 text: {exc}") from None
+    except (ValueError, OverflowError, csv.Error) as exc:
         raise ConfigError(f"timeline CSV line {reader.line_num}: {exc}") from None
 
     # Each model has one row per request index 0..n-1. Once its positions are

@@ -94,13 +94,13 @@ class ModelReport(NamedTuple):
     n_sat: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioReport:
     models: Mapping[str, ModelReport]
     scenario_score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreReport:
     scenarios: Mapping[str, ScenarioReport]
     overall_arithmetic: float

@@ -40,7 +40,7 @@ def json_number(obj: Mapping, key: str, default: float | None = None) -> float:
         raise ValueError(f"{key} is too large for a float") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InputSource:
     """A sensor stream feeding one or more models.
 
@@ -62,7 +62,7 @@ class InputSource:
             raise ConfigError(f"input source {self.id!r}: max_jitter must be in [0, {500 / self.streaming_rate:g}) ms")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitModel:
     """One inference model of the catalog.
 
@@ -99,7 +99,7 @@ class UnitModel:
             raise ConfigError(f"model {self.id!r}: a lower-is-better achieved_metric must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyEdge:
     """A dependency between two models of a scenario: each downstream
     request waits for its upstream anchor, and launches only if the gate,
@@ -118,7 +118,7 @@ class DependencyEdge:
         return f"{self.upstream}->{self.downstream}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioEntry:
     """One model activated inside a usage scenario at a target processing rate (Hz)."""
 
@@ -136,7 +136,7 @@ class ScenarioEntry:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UsageScenario:
     """A named set of active models with rates and dependencies."""
 
@@ -159,7 +159,7 @@ class UsageScenario:
         return tuple(edge for e in self.entries for edge in e.dependencies)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchmarkSuite:
     """An ordered collection of usage scenarios."""
 
@@ -183,7 +183,7 @@ class BenchmarkSuite:
         raise ConfigError(f"unknown scenario {scenario_id!r} (expected one of {', '.join(self.scenario_ids)})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteConfig:
     """A complete workload description: sources, model catalog, and scenarios."""
 

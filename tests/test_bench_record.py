@@ -2,7 +2,6 @@
 
 import importlib.util
 import json
-import os
 import subprocess
 from pathlib import Path
 
@@ -49,28 +48,45 @@ def test_each_metric_is_summarized_by_its_median_and_iqr():
     assert wall["values"] == [1.4, 1.0, 1.2, 1.1, 1.3] and wall["unit"] == "s"
 
 
-def test_every_run_starts_without_a_bytecode_cache(monkeypatch):
+def test_every_run_starts_without_a_bytecode_cache(monkeypatch, tmp_path):
     calls = []
 
     def fake_run(cmd, cwd, capture_output, text, env):
-        cache = env["PYTHONPYCACHEPREFIX"]
-        calls.append((cmd, cache, os.listdir(cache), env["PYTHONDONTWRITEBYTECODE"]))
+        calls.append((cmd, env))
         return subprocess.CompletedProcess(cmd, 0, stdout=_stdout(1.0), stderr="")
 
     monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "caches"))
     for seed in (7, 8):
         assert bench_record.result_of(bench_record.run_perfbench("suite-cli", seed, trace=0))["correct"]
-    assert [cmd[cmd.index("--seed") + 1] for cmd, *_ in calls] == ["7", "8"]
-    (_, first, first_files, first_flag), (_, second, second_files, second_flag) = calls
-    assert first != second and first_files == second_files == [] and first_flag == second_flag == "1"
-    assert not os.path.exists(first) and not os.path.exists(second)
+    assert [cmd[cmd.index("--seed") + 1] for cmd, _ in calls] == ["7", "8"]
+    for _, env in calls:
+        # mmtsim compiles from source and writes no cache; the standard library keeps its own caches
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1" and "PYTHONPYCACHEPREFIX" not in env
 
 
 def test_the_point_records_that_its_runs_had_no_bytecode_cache(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setattr(bench_record, "git", lambda *args: "")
     monkeypatch.setattr(bench_record, "record_workload", lambda workload: {"correct": True})
+    (tmp_path / "src" / "mmtsim").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
     assert bench_record.main(["--pr", "0"]) == 0
     settings = json.loads((tmp_path / "BENCH_0.json").read_text())["settings"]
-    assert settings["env"] == {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": "a fresh, empty directory per run"}
+    assert settings["env"] == {"PYTHONDONTWRITEBYTECODE": "1"}
+    assert settings["no_pycache_in"] == ["src", "perfbench"]
+
+
+@pytest.mark.parametrize("cache", ["src/mmtsim/__pycache__", "perfbench/__pycache__"])
+def test_a_checkout_holding_a_bytecode_cache_is_refused(monkeypatch, tmp_path, capsys, cache):
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "git", lambda *args: "")
+    recorded = []
+    monkeypatch.setattr(bench_record, "record_workload", recorded.append)
+    (tmp_path / cache).mkdir(parents=True)
+    (tmp_path / "tests" / "__pycache__").mkdir(parents=True)  # outside src/ and perfbench/: allowed
+    assert bench_record.main(["--pr", "0"]) == 2
+    assert recorded == [] and not (tmp_path / "BENCH_0.json").exists()
+    err = capsys.readouterr().err
+    assert cache in err and "tests" not in err

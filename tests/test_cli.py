@@ -469,6 +469,34 @@ def test_malformed_timeline_csv_is_a_config_error(tmp_path, capsys, text, messag
     assert err.startswith("error: ") and message in err
 
 
+_TIMELINE_HEADER = b"model,request_index,frame_index,unit,t_req_ms,t_start_ms,t_end_ms,t_dl_ms,status,energy_mj\n"
+_TIMELINE_ROW = b"HT,0,0,u0-ws,0.0,1.0,2.0,22.2,completed,0.1\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff" + _TIMELINE_HEADER + _TIMELINE_ROW, "timeline CSV is not UTF-8 text: 'utf-8' codec can't decode"),
+        (_TIMELINE_HEADER + _TIMELINE_ROW + b"HT,1,2,u0-ws,33.3,34.0,35.0,55.5,completed,\xff\n",
+         "timeline CSV is not UTF-8 text: 'utf-8' codec can't decode"),
+        (_TIMELINE_HEADER + _TIMELINE_ROW + b"HT,1,2,u0-ws,33.3,34.0,35.0,55.5,completed,0.1," + b"x" * 200_000 + b"\n",
+         "timeline CSV line 3: field larger than field limit"),
+        (  # a bad row is still reported before an undecodable byte in a later chunk
+            _TIMELINE_HEADER + b"HT,0,0,u0-ws,x,1.0,2.0,22.2,completed,0.1\n" + _TIMELINE_ROW * 400 + b"\xff\n",
+            "timeline CSV line 2: could not convert string to float: 'x'",
+        ),
+    ],
+    ids=["byte-0xff-in-the-header", "byte-0xff-on-line-3", "field-over-the-csv-limit", "bad-row-before-a-bad-byte"],
+)
+def test_unreadable_timeline_csv_is_a_config_error(tmp_path, capsys, data, message):
+    log = tmp_path / "timeline.csv"
+    log.write_bytes(data)
+    code = main(["score", "--scenario", "vr-gaming", "--log", str(log), "--emax", "1.0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_model_without_requests_is_a_scoring_error(tmp_path, capsys):
     # at 0.1 s, KD's 3 Hz target rate gives it no requests
     code = main(["run", "--hw", "preset:J", "--synthetic", "--duration", "0.1", "--out", str(tmp_path / "o")])

@@ -12,7 +12,7 @@ import pytest
 
 from mmtsim import ScoringConfig, builtin_config, generate_requests, simulate
 from mmtsim.cli import main
-from mmtsim.costmodel import preset_system, synthetic_table, system_to_obj, table_to_obj
+from mmtsim.costmodel import CostTable, preset_system, synthetic_table, system_to_obj, table_to_obj
 from mmtsim.runtime import LATENCY_GREEDY, ROUND_ROBIN
 from mmtsim.scoring import scenario_report
 from mmtsim.workload import with_edge_probability
@@ -116,3 +116,36 @@ def test_the_seed_changes_nothing_without_jitter_or_a_gate_between_0_and_1(polic
         for column in ("requests", "unit", "t_start_us", "t_end_us", "status", "energy_mj", "counts"):
             assert getattr(first, column) == getattr(second, column), (i, column)
         assert _report(first, scenario, models, costs) == _report(second, scenario, models, costs), i
+
+
+def _names_in_the_same_order(rng: random.Random, ids: list[str]) -> dict[str, str]:
+    """A new id for each of `ids`, of random length, that sorts where the old one does."""
+    names: set[str] = set()
+    while len(names) < len(ids):
+        names.add("".join(rng.choices("abyz", k=rng.randint(1, 6))))
+    return dict(zip(sorted(ids), sorted(names)))
+
+
+@pytest.mark.parametrize("policy", [LATENCY_GREEDY, ROUND_ROBIN])
+def test_renaming_units_in_their_sorted_order_renames_only_the_unit_column(policy):
+    # tied latencies as well, so that a name cannot decide a tie either
+    rng = random.Random(2020)
+    reordered_by_length = 0  # setups whose new names sort otherwise by (length, name)
+    for i in range(40):
+        scenario, sources, models, hw, costs = random_setup(rng)
+        if i % 2:
+            costs = with_tied_latencies(rng, costs)
+        name = _names_in_the_same_order(rng, [u.id for u in hw.units])
+        renamed_hw = replace(hw, units=tuple(replace(u, id=name[u.id]) for u in hw.units))
+        renamed_costs = CostTable([replace(e, unit=name[e.unit]) for e in costs.entries()], costs.e_max_mj)
+        new = sorted(name.values())
+        reordered_by_length += new != sorted(new, key=lambda n: (len(n), n))
+        stream = generate_requests(scenario, sources, models, 1.0, seed=i)
+        given, renamed = simulate(scenario, stream, hw, costs, policy), simulate(
+            scenario, stream, renamed_hw, renamed_costs, policy
+        )
+        assert renamed.unit == [None if u is None else name[u] for u in given.unit], i
+        for column in ("requests", "t_start_us", "t_end_us", "status", "energy_mj", "counts"):
+            assert getattr(renamed, column) == getattr(given, column), (i, column)
+        assert _report(renamed, scenario, models, costs) == _report(given, scenario, models, costs), i
+    assert reordered_by_length >= 10

@@ -7,11 +7,14 @@ Usage (from the repository root):
 For each perfbench workload, this runs `perfbench/run.py` in a subprocess,
 one run at a time: untraced at `--seconds 25` once for each seed in SEEDS,
 then once traced at seed 7. The seed-7 untraced run gives the output digest,
-which CI pins at that seed. Every run starts without a bytecode cache: with
-`PYTHONDONTWRITEBYTECODE=1` and a fresh, empty `PYTHONPYCACHEPREFIX`, it
-compiles every module it imports from source and writes no cache, so
-`setup_s` does not depend on what the checkout or an earlier run left. It
-writes `BENCH_<pr>.json` at the repository root with, per workload:
+which CI pins at that seed. Every run starts without mmtsim's bytecode
+cache: the collector refuses a checkout whose `src/` or `perfbench/` holds a
+`__pycache__` directory, and runs with `PYTHONDONTWRITEBYTECODE=1` and no
+`PYTHONPYCACHEPREFIX`, so each run compiles mmtsim and perfbench from source
+and writes no cache, while the standard library loads from its own caches.
+So neither `setup_s` nor `peak_rss_mib` depends on what the checkout or an
+earlier run left. It writes `BENCH_<pr>.json` at the repository root with,
+per workload:
 
 - the median and interquartile range of each end-to-end metric over the
   untraced runs, with the values of every run;
@@ -33,7 +36,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,16 +44,22 @@ WORKLOADS = ("suite-cli", "preset-sweep", "fuzz-pipelines")
 SECONDS = 25
 SEEDS = (7, 8, 9, 10, 11)
 DIGEST_SEED = 7
-NO_BYTECODE_CACHE = {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": "a fresh, empty directory per run"}
+NO_BYTECODE_CACHE = {"PYTHONDONTWRITEBYTECODE": "1"}
+CACHE_FREE = ("src", "perfbench")  # directories that must hold no __pycache__
+
+
+def bytecode_caches() -> list[Path]:
+    """The `__pycache__` directories under the checkout's CACHE_FREE directories."""
+    return sorted(p for d in CACHE_FREE for p in (ROOT / d).rglob("__pycache__"))
 
 
 def run_perfbench(workload: str, seed: int, trace: int) -> str:
     """The standard output of one perfbench run; a failed run raises."""
     cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(SECONDS), "--trace", str(trace)]
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
-        done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, env=env)
+    env = dict(os.environ, **NO_BYTECODE_CACHE)
+    env.pop("PYTHONPYCACHEPREFIX", None)  # a prefix could hold mmtsim's cache, and hides the standard library's
+    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, env=env)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}: {done.stderr.strip()}")
     return done.stdout
@@ -106,13 +114,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name BENCH_<pr>.json")
     args = parser.parse_args(argv)
+    caches = bytecode_caches()
+    if caches:
+        names = ", ".join(str(p.relative_to(ROOT)) for p in caches)
+        print(f"refusing a checkout with bytecode caches, which would lower setup_s: remove {names}", file=sys.stderr)
+        return 2
     doc = {
         "pr": args.pr,
         "commit": git("rev-parse", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "settings": {"seconds": SECONDS, "seeds": list(SEEDS), "traced_seed": DIGEST_SEED, "env": NO_BYTECODE_CACHE},
+        "settings": {
+            "seconds": SECONDS,
+            "seeds": list(SEEDS),
+            "traced_seed": DIGEST_SEED,
+            "env": NO_BYTECODE_CACHE,
+            "no_pycache_in": list(CACHE_FREE),
+        },
         "workloads": {w: record_workload(w) for w in WORKLOADS},
     }
     out = ROOT / f"BENCH_{args.pr}.json"
