@@ -4,7 +4,10 @@ Time is carried as integer microsecond ticks so that identical inputs
 always give bit-identical streams; the timeline CSV gives it in milliseconds.
 A stream is built column-wise: each source's arrivals, for every frame some
 model samples, come in one batch, whose variates hash the keyed prefix
-"{seed}|{source}|" once and each frame on from a copy.
+"{seed}|{source}|" once and each frame on from a copy. Within a call, models
+with equal (target rate, source rate, count) share one frame list, and with
+equal (init µs, target rate, count) one deadline list; frames 0..n-1 are
+their own request indices. So an equal value is one object, not one per model.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ def det_rand(seed: int, source: str, frame: int) -> float:
 
 
 def jitter_offsets(source: InputSource, frames: Sequence[int], seed: int) -> list[float]:
-    """`jitter_offset(source, frame, seed)` for each of `frames`."""
+    """Each frame's jitter in milliseconds, bounded to [-max_jitter, +max_jitter]:
+    its `det_rands` variate through a truncated Gaussian centered at 0.5
+    (sigma 1/6, clamped to [0, 1]), scaled to the jitter bound."""
     if source.max_jitter == 0.0:
         return [0.0] * len(frames)
     scale = source.max_jitter * 2.0
@@ -60,15 +65,6 @@ def jitter_offsets(source: InputSource, frames: Sequence[int], seed: int) -> lis
         g = min(max(g, 0.0), 1.0)
         offsets.append(scale * (g - 0.5))
     return offsets
-
-
-def jitter_offset(source: InputSource, frame: int, seed: int) -> float:
-    """Jitter in milliseconds, bounded to [-max_jitter, +max_jitter].
-
-    The uniform variate is pushed through a truncated Gaussian centered at
-    0.5 (sigma 1/6, clamped to [0, 1]), then scaled to the jitter bound.
-    """
-    return jitter_offsets(source, (frame,), seed)[0]
 
 
 def _arrivals_us(source: InputSource, frames: Sequence[int], seed: int) -> list[int]:
@@ -173,11 +169,13 @@ def generate_requests(
 
     # Every frame some model samples, per source; then each source's arrivals in one batch.
     sampled: list[tuple[ScenarioEntry, list[InputSource], list[int]]] = []  # (entry, its sources, its frames)
+    frame_lists: dict[tuple[float, float, int], list[int]] = {}  # (target rate, source rate, count) -> frames
     frames_of: dict[str, set[int]] = {}
     for entry in scenario.entries:
         srcs = [sources[sid] for sid in models[entry.model].input_sources]
-        count = target_count(entry.target_rate, duration)
-        frames = select_frames(entry.target_rate, min(s.streaming_rate for s in srcs), count)
+        key = (entry.target_rate, min(s.streaming_rate for s in srcs), target_count(entry.target_rate, duration))
+        if (frames := frame_lists.get(key)) is None:
+            frames = frame_lists[key] = select_frames(*key)
         for s in srcs:
             frames_of.setdefault(s.id, set()).update(frames)
         sampled.append((entry, srcs, frames))
@@ -187,13 +185,16 @@ def generate_requests(
         arrivals[sid] = dict(zip(frames, _arrivals_us(sources[sid], frames, seed)))
 
     requests: list[InferenceRequest] = []
+    deadline_lists: dict[tuple[int, float, int], list[int]] = {}  # (init µs, target rate, count) -> deadlines
     for entry, srcs, frames in sampled:
         columns = [map(arrivals[s.id].__getitem__, frames) for s in srcs]
         t_req = map(max, *columns) if len(columns) > 1 else columns[0]  # the latest of its sources
         # a model's k-th deadline: k+1 target-rate periods after its init latency; never jittered
-        init_us = round(max(s.init_latency for s in srcs) * US_PER_MS)
-        t_dl = [init_us + round(k * US_PER_S / entry.target_rate) for k in range(1, len(frames) + 1)]
-        rows = zip(repeat(entry.model), frames, range(len(frames)), t_req, t_dl)
+        init_us, rate, n = round(max(s.init_latency for s in srcs) * US_PER_MS), entry.target_rate, len(frames)
+        if (t_dl := deadline_lists.get((init_us, rate, n))) is None:
+            t_dl = deadline_lists[init_us, rate, n] = [init_us + round(k * US_PER_S / rate) for k in range(1, n + 1)]
+        index = frames if not frames or frames[-1] == n - 1 else range(n)  # frames 0..n-1 are their own indices
+        rows = zip(repeat(entry.model), frames, index, t_req, t_dl)
         requests += map(tuple.__new__, repeat(InferenceRequest), rows)  # InferenceRequest(*row), without a Python call
     return RequestStream(scenario=scenario.id, duration=duration, seed=seed, requests=tuple(requests))
 

@@ -497,6 +497,53 @@ def test_unreadable_timeline_csv_is_a_config_error(tmp_path, capsys, data, messa
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (b"HT,x,x,u0-ws,33.3,34.0,35.0,55.5,completed,0.1\n", "invalid literal for int() with base 10: 'x'"),
+        (b"HT,-1,-1,u0-ws,33.3,34.0,35.0,55.5,completed,0.1\n", "request_index must be >= 0, not -1"),
+        (b"HT,1,2,u0-ws,y,y,35.0,55.5,completed,0.1\n", "could not convert string to float: 'y'"),
+        (b"HT,1,2,u0-ws,inf,inf,35.0,55.5,completed,0.1\n", "cannot convert float infinity to integer"),
+        (b"HT,1,2,u0-ws,nan,nan,35.0,55.5,completed,0.1\n", "cannot convert float NaN to integer"),
+        (b"HT,1,2,u0-ws,33.3,34.0,35.0,z,completed,z\n", "could not convert string to float: 'z'"),
+    ],
+    ids=["index-and-frame-x", "index-and-frame-negative", "request-and-start-y", "request-and-start-inf",
+         "request-and-start-nan", "deadline-and-energy-z"],
+)
+def test_a_bad_text_repeated_in_another_column_reports_its_first_error(tmp_path, capsys, row, message):
+    # A reader that reuses one column's parsed value for an equal text in
+    # another must report what a reader parsing every field would.
+    log = tmp_path / "timeline.csv"
+    log.write_bytes(_TIMELINE_HEADER + _TIMELINE_ROW + row + _TIMELINE_ROW)
+    code = main(["score", "--scenario", "vr-gaming", "--log", str(log), "--emax", "1.0"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: timeline CSV line 3: {message}\n"
+
+
+def test_a_negative_zero_energy_is_written_and_scored_as_given(tmp_path, capsys):
+    config = builtin_config()
+    hw = preset_system("J", total_pes=96)
+    costs = table_to_obj(synthetic_table(config.models, hw))
+    for entry in costs["entries"]:
+        if entry["model"] == "GE":
+            entry["energy_mj"] = -0.0
+    costs_path = tmp_path / "costs.json"
+    costs_path.write_text(json.dumps(costs))
+    assert '"energy_mj": -0.0' in costs_path.read_text()
+    out = tmp_path / "o"
+    argv = ["run", "--scenario", "vr-gaming", "--hw", "preset:J:96", "--costs", str(costs_path), "--duration", "2"]
+    assert main([*argv, "--out", str(out)]) == 0
+    timeline = out / "timeline_vr-gaming.csv"
+    ge = [line.split(",") for line in timeline.read_text().splitlines() if line.startswith("GE,")]
+    assert {(row[8], row[9]) for row in ge} == {("completed", "-0.0"), ("dropped", "0.0")}
+    report = json.loads((out / "report.json").read_text())
+    emax = report["run_config"]["scoring"]["e_max_mj"]
+    assert main(["score", "--scenario", "vr-gaming", "--log", str(timeline), "--emax", repr(emax),
+                 "--out", str(tmp_path / "s")]) == 0
+    rescored = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert rescored["scenarios"] == report["scenarios"] and rescored["overall"] == report["overall"]
+
+
 def test_model_without_requests_is_a_scoring_error(tmp_path, capsys):
     # at 0.1 s, KD's 3 Hz target rate gives it no requests
     code = main(["run", "--hw", "preset:J", "--synthetic", "--duration", "0.1", "--out", str(tmp_path / "o")])

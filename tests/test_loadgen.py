@@ -14,11 +14,12 @@ from mmtsim.loadgen import (
     RequestStream,
     det_rand,
     generate_requests,
-    jitter_offset,
     select_frames,
     target_count,
 )
 from mmtsim.workload import builtin_config
+
+from jitter import jitter_offset
 
 
 CAMERA = InputSource("camera", streaming_rate=60.0, max_jitter=0.05)
@@ -224,3 +225,19 @@ def test_deadlines_are_jitter_free():
     assert [r.t_req_us for r in a.requests] != [r.t_req_us for r in b.requests]
     key = lambda s: sorted((r.model, r.request_index, r.t_dl_us) for r in s.requests)
     assert key(a) == key(b)
+
+
+def test_models_with_equal_rates_share_their_frame_and_deadline_objects():
+    # Values above 256, which Python does not cache, so `is` shows the stream's own sharing.
+    config = builtin_config()
+    scenario = config.suite.scenario("social-interaction-a")
+    stream = generate_requests(scenario, config.sources, config.models, 10.0, seed=7)
+    of = {m: sorted((r for r in stream.requests if r.model == m), key=lambda r: r.request_index) for m in "HT ES GE DR".split()}
+    for k in range(257, 300):
+        es, ge, ht, dr = of["ES"][k], of["GE"][k], of["HT"][k], of["DR"][k]
+        # 60 Hz on a 60 FPS camera: frames 0..n-1, which are also the request indices
+        assert es.frame_index == k and es.frame_index is es.request_index is ge.frame_index is ge.request_index
+        assert es.t_dl_us is ge.t_dl_us
+        # 30 Hz, on the camera alone and on the camera and the 60 FPS lidar, both from 0 ms
+        assert ht.frame_index is dr.frame_index and ht.t_dl_us is dr.t_dl_us
+        assert ht.request_index == k != ht.frame_index

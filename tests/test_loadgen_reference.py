@@ -17,7 +17,9 @@ from collections import Counter
 from fractions import Fraction
 
 from mmtsim import InputSource, ScenarioEntry, UnitModel, UsageScenario
-from mmtsim.loadgen import generate_requests, jitter_offset, select_frames, target_count
+from mmtsim.loadgen import generate_requests, select_frames, target_count
+
+from jitter import jitter_offset
 
 SOURCE_RATES = [29.97, 1000 / 3, 25.0, 30.0, 59.94, 60.0, 90.0]
 TARGET_RATES = [0.5, 1.0, 3.0, 10.0, 15.0, 29.97, 30.0, 45.0, 59.94, 60.0, 1000 / 3]

@@ -5,8 +5,12 @@ with the code, such as a result that depends on input order, on which other
 scenarios ran, on absolute time or on a seed where nothing is random."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,7 @@ from mmtsim.workload import with_edge_probability
 from fuzzing import random_setup, with_tied_latencies
 
 RUN = ["run", "--duration", "3", "--seed", "7"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run(out, *args):
@@ -149,3 +154,25 @@ def test_renaming_units_in_their_sorted_order_renames_only_the_unit_column(polic
             assert getattr(renamed, column) == getattr(given, column), (i, column)
         assert _report(renamed, scenario, models, costs) == _report(given, scenario, models, costs), i
     assert reordered_by_length >= 10
+
+
+@pytest.mark.parametrize("policy", [LATENCY_GREEDY, ROUND_ROBIN])
+def test_the_hash_seed_changes_no_output(tmp_path, policy):
+    # Each process hashes strings with its own seed, so a result that follows a
+    # set's or a hash's order of model ids differs between the two processes.
+    outputs = []
+    for hash_seed in ("1", "2"):
+        cwd = tmp_path / f"hash-seed-{hash_seed}"
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+        argv = [*RUN, "--hw", "preset:M:96", "--synthetic", "--policy", policy, "--out", "out"]
+        done = subprocess.run(
+            [sys.executable, "-m", "mmtsim.cli", *argv], cwd=cwd, env=env, capture_output=True, check=True
+        )
+        outputs.append((done.stdout, {f.name: f.read_bytes() for f in (cwd / "out").iterdir()}))
+    (stdout_1, files_1), (stdout_2, files_2) = outputs
+    assert len(files_1) == 2 + 2 * len(builtin_config().suite.scenario_ids)
+    assert stdout_1 == stdout_2 and stdout_1
+    assert files_1.keys() == files_2.keys()
+    for name, data in files_1.items():
+        assert data == files_2[name], name

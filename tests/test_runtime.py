@@ -662,3 +662,30 @@ def test_log_from_csv_groups_shuffled_rows_by_model_in_request_index_order():
     assert log.requests != log_from_csv(io.StringIO(text)).requests
     assert {m: list(ps) for m, ps in log.positions.items()} == _regrouped(log.requests)
     assert log.counts == log_from_csv(io.StringIO(text)).counts
+
+
+def test_a_deadline_and_an_energy_of_the_same_text_keep_their_own_units():
+    header = ",".join(LOG_CSV_FIELDS)
+    text = "\n".join([
+        header,
+        "A,0,0,u0,0.0,0.0,0.05,0.1,completed,0.1",  # the deadline's text comes first
+        "A,1,1,u0,0.2,0.2,0.25,0.2,completed,0.5",
+        "A,2,2,u0,0.4,0.4,0.45,0.5,completed,0.2",  # both texts appeared first in the other column
+    ]) + "\n"
+    log = log_from_csv(io.StringIO(text))
+    assert [r.t_dl_us for r in log.requests] == [100, 200, 500]
+    assert log.energy_mj == [0.1, 0.5, 0.2]
+
+
+def test_log_from_csv_parses_each_equal_value_once():
+    for text in _timeline_texts()[:7]:
+        log = log_from_csv(io.StringIO(text))
+        rows_ = list(csv.reader(io.StringIO(text)))[1:]
+        for r, start, row in zip(log.requests, log.t_start_us, rows_):
+            if row[1] == row[2]:  # request_index and frame_index
+                assert r.request_index is r.frame_index
+            if row[5] == row[4]:  # t_start_ms and t_req_ms
+                assert start is r.t_req_us
+        deadlines = [r.t_dl_us for r in log.requests]
+        assert len({id(d) for d in deadlines}) == len(set(deadlines))
+        assert len({id(e) for e in log.energy_mj}) == len(set(log.energy_mj))

@@ -39,7 +39,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("suite-cli", "preset-sweep", "fuzz-pipelines")
 SECONDS = 25
 SEEDS = (7, 8, 9, 10, 11)
@@ -48,18 +47,20 @@ NO_BYTECODE_CACHE = {"PYTHONDONTWRITEBYTECODE": "1"}
 CACHE_FREE = ("src", "perfbench")  # directories that must hold no __pycache__
 
 
-def bytecode_caches() -> list[Path]:
+def bytecode_caches(root: Path) -> list[Path]:
     """The `__pycache__` directories under the checkout's CACHE_FREE directories."""
-    return sorted(p for d in CACHE_FREE for p in (ROOT / d).rglob("__pycache__"))
+    return sorted(p for d in CACHE_FREE for p in (root / d).rglob("__pycache__"))
 
 
-def run_perfbench(workload: str, seed: int, trace: int) -> str:
-    """The standard output of one perfbench run; a failed run raises."""
-    cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed)]
-    cmd += ["--seconds", str(SECONDS), "--trace", str(trace)]
+def run_perfbench(workload: str, seed: int, trace: int, root: Path | None = None, seconds: float = SECONDS) -> str:
+    """The standard output of one perfbench run in the checkout `root` (this
+    one by default); a failed run raises."""
+    root = ROOT if root is None else root
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(seconds), "--trace", str(trace)]
     env = dict(os.environ, **NO_BYTECODE_CACHE)
     env.pop("PYTHONPYCACHEPREFIX", None)  # a prefix could hold mmtsim's cache, and hides the standard library's
-    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, env=env)
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=env)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}: {done.stderr.strip()}")
     return done.stdout
@@ -114,7 +115,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name BENCH_<pr>.json")
     args = parser.parse_args(argv)
-    caches = bytecode_caches()
+    caches = bytecode_caches(ROOT)
     if caches:
         names = ", ".join(str(p.relative_to(ROOT)) for p in caches)
         print(f"refusing a checkout with bytecode caches, which would lower setup_s: remove {names}", file=sys.stderr)
