@@ -10,7 +10,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_pairs
 
-BENCHMARK = {"end_to_end": [{"name": "wall_s", "better": "lower"}, {"name": "req_per_s", "better": "higher"}]}
+BENCHMARK = {
+    "run_seconds": 25,
+    "end_to_end": [{"name": "wall_s", "better": "lower"}, {"name": "req_per_s", "better": "higher"}],
+}
 
 
 def _stdout(wall_s: float, correct: bool = True) -> str:
@@ -77,6 +80,14 @@ def test_the_summary_counts_wins_in_each_metrics_better_direction():
     assert c["wins"] == 2 and c["parent"]["median"] == 20.0 and c["parent"]["iqr"] == 10.0
     assert c["relative"] == pytest.approx(-0.05) and not c["beyond_parent_iqr"]
     assert bench_pairs.compare({"parent": [10.0, 20.0, 30.0], "change": [12.0, 19.0, 31.0]}, "lower")["wins"] == 1
+
+
+def test_runs_last_the_benchmarks_run_length_unless_told_otherwise(monkeypatch, tmp_path):
+    roots = _checkouts(tmp_path)
+    calls = _fake_runs(monkeypatch, {"parent": [1.0] * 2, "change": [1.0] * 2})
+    argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]), "--workload", "suite-cli"]
+    assert bench_pairs.main([*argv, "--pairs", "2"]) == 0
+    assert {cmd[cmd.index("--seconds") + 1] for _, cmd, _ in calls} == {"25"}
 
 
 @pytest.mark.parametrize("side", ["parent", "change"])
