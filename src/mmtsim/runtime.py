@@ -391,17 +391,14 @@ def _ms(t_us: int | None) -> float | None:
 
 def log_to_csv(log: EventLog, fh) -> None:
     """One row per request in stream order; csv writes a float as its repr()
-    and None as an empty field. Each energy object is formatted once, keyed by
-    the object and not its value, since -0.0 == 0.0 and both occur."""
+    and None as an empty field."""
     writer = csv.writer(fh)
     writer.writerow(LOG_CSV_FIELDS)
-    texts = {key: repr(e) for key, e in dict(zip(map(id, log.energy_mj), log.energy_mj)).items()}
     writer.writerows(
         (r.model, r.request_index, r.frame_index, unit, r.t_req_us / US_PER_MS, _ms(t_start), _ms(t_end),
          r.t_dl_us / US_PER_MS, status, energy)
         for r, unit, t_start, t_end, status, energy in zip(
-            log.requests, log.unit, log.t_start_us, log.t_end_us, log.status,
-            map(texts.__getitem__, map(id, log.energy_mj)),
+            log.requests, log.unit, log.t_start_us, log.t_end_us, log.status, log.energy_mj
         )
     )
 
@@ -410,16 +407,14 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
     """Read a timeline written by `log_to_csv`, its columns in any order and
     blank lines skipped; a malformed one is a ConfigError naming its line.
     The CSV holds no hardware, seed or duration, so the log's are blank.
-    Statuses are this module's constants. Each distinct model id, unit id,
-    deadline text and energy text is parsed into one object, not one per row,
-    and an index or start whose text equals the row's frame or request time
-    takes that value."""
+    Statuses are this module's constants. Each distinct model id, unit id and
+    energy text is parsed into one object, not one per row, and an index or
+    start whose text equals the row's frame or request time takes that value."""
     reader = csv.reader(fh)
     requests, unit, t_start_us, t_end_us, status, energy_mj = [], [], [], [], [], []
     statuses = {s: s for s in (COMPLETED, DROPPED, UNTRIGGERED)}
     ids: dict[str, str] = {}
-    deadlines: dict[str, int] = {}  # one table per column: "0.1" is 100 µs here
-    energies: dict[str, float] = {}  # and 0.1 mJ here
+    energies: dict[str, float] = {}
     try:  # each check raises ValueError, like a field that is not a (finite) number
         header = next(reader, [])
         missing = [f for f in LOG_CSV_FIELDS if f not in header]
@@ -440,8 +435,7 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
             frame = int(frame_index)
             index = frame if request_index == frame_index else int(request_index)
             req = round(float(t_req) * US_PER_MS)
-            if (dl := deadlines.get(t_dl)) is None:
-                dl = deadlines[t_dl] = round(float(t_dl) * US_PER_MS)
+            dl = round(float(t_dl) * US_PER_MS)
             start = req if t_start == t_req else round(float(t_start) * US_PER_MS) if t_start else None
             end = round(float(t_end) * US_PER_MS) if t_end else None
             if st == COMPLETED and not req <= start <= end:

@@ -56,23 +56,26 @@ def _fake_runs(monkeypatch, walls, correct=True):
 
 def test_pairs_alternate_which_side_runs_first_at_one_seed_per_pair(monkeypatch, tmp_path, capsys):
     roots = _checkouts(tmp_path)
-    walls = {"parent": [1.0, 1.2, 1.1, 1.3], "change": [0.9, 1.0, 1.15, 1.0]}
+    walls = {
+        "parent": [1.0, 1.2, 1.1, 1.3, 1.05, 1.25, 1.15, 1.35, 1.0, 1.2],
+        "change": [0.9, 1.0, 1.15, 0.95, 0.9, 1.0, 1.2, 1.0, 0.85, 0.95],
+    }
     calls = _fake_runs(monkeypatch, walls)
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
     argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]), "--workload", "suite-cli"]
-    assert bench_pairs.main([*argv, "--pairs", "4", "--seconds", "2", "--seed", "11"]) == 0
-    assert [side for side, _, _ in calls] == ["parent", "change", "change", "parent"] * 2
-    seeds = [cmd[cmd.index("--seed") + 1] for _, cmd, _ in calls]
-    assert seeds == ["11", "11", "12", "12", "13", "13", "14", "14"]
+    assert bench_pairs.main([*argv, "--seed", "11"]) == 0
+    assert [side for side, _, _ in calls] == ["parent", "change", "change", "parent"] * 5
+    seeds = [int(cmd[cmd.index("--seed") + 1]) for _, cmd, _ in calls]
+    assert seeds == [s for s in range(11, 21) for _ in range(2)]
     for side, cmd, env in calls:
         assert cmd[1] == str(roots[side] / "perfbench" / "run.py")
-        assert cmd[cmd.index("--seconds") + 1] == "2.0" and cmd[cmd.index("--trace") + 1] == "0"
+        assert cmd[cmd.index("--seconds") + 1] == "25" and cmd[cmd.index("--trace") + 1] == "0"
         assert env["PYTHONDONTWRITEBYTECODE"] == "1"
     out = capsys.readouterr().out
     assert "peak_rss_mib" not in out  # only BENCHMARK.json's end-to-end metrics
     wall = next(line for line in out.splitlines() if " wall_s " in line)
-    assert "parent 1.15 [IQR 0.15]" in wall and "change 1 [IQR 0.0625]" in wall
-    assert "the change won 3 of 4" in wall and "differ by more than" in wall
+    assert "parent 1.175 [IQR 0.175]" in wall and "change 0.975 [IQR 0.0875]" in wall
+    assert "the change won 8 of 10" in wall and "differ by more than" in wall
 
 
 def test_the_summary_counts_wins_in_each_metrics_better_direction():
@@ -82,28 +85,30 @@ def test_the_summary_counts_wins_in_each_metrics_better_direction():
     assert bench_pairs.compare({"parent": [10.0, 20.0, 30.0], "change": [12.0, 19.0, 31.0]}, "lower")["wins"] == 1
 
 
-def test_runs_last_the_benchmarks_run_length_unless_told_otherwise(monkeypatch, tmp_path):
+def test_fewer_than_ten_pairs_are_refused(monkeypatch, tmp_path, capsys):
     roots = _checkouts(tmp_path)
-    calls = _fake_runs(monkeypatch, {"parent": [1.0] * 2, "change": [1.0] * 2})
+    calls = _fake_runs(monkeypatch, {"parent": [1.0] * 9, "change": [1.0] * 9})
     argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]), "--workload", "suite-cli"]
-    assert bench_pairs.main([*argv, "--pairs", "2"]) == 0
-    assert {cmd[cmd.index("--seconds") + 1] for _, cmd, _ in calls} == {"25"}
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([*argv, "--pairs", "9"])
+    assert exc.value.code == 2 and calls == []
+    assert "--pairs must be at least 10" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("side", ["parent", "change"])
 def test_a_checkout_holding_a_bytecode_cache_is_refused(monkeypatch, tmp_path, capsys, side):
     roots = _checkouts(tmp_path)
     (roots[side] / "src" / "mmtsim" / "__pycache__").mkdir()
-    calls = _fake_runs(monkeypatch, {"parent": [1.0] * 2, "change": [1.0] * 2})
+    calls = _fake_runs(monkeypatch, {"parent": [1.0] * 10, "change": [1.0] * 10})
     argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]), "--workload", "suite-cli"]
-    assert bench_pairs.main([*argv, "--pairs", "2"]) == 2
+    assert bench_pairs.main(argv) == 2
     assert calls == []
     assert f"refusing the {side} checkout" in capsys.readouterr().err
 
 
 def test_an_incorrect_run_fails_the_comparison(monkeypatch, tmp_path, capsys):
     roots = _checkouts(tmp_path)
-    _fake_runs(monkeypatch, {"parent": [1.0] * 2, "change": [1.0] * 2}, correct=False)
+    _fake_runs(monkeypatch, {"parent": [1.0] * 10, "change": [1.0] * 10}, correct=False)
     argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]), "--workload", "preset-sweep"]
-    assert bench_pairs.main([*argv, "--pairs", "2"]) == 1
+    assert bench_pairs.main(argv) == 1
     assert "every run correct with no failed operation: False" in capsys.readouterr().out

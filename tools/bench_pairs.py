@@ -5,10 +5,10 @@ Usage (from the repository root, with the parent commit checked out in ../parent
     python3 tools/bench_pairs.py --parent ../parent --workload suite-cli --pairs 10
 
 Pair i (from 1) runs `perfbench/run.py --workload W --seed S --seconds N
---trace 0` once in each checkout, at the same seed S = --seed + i - 1 and,
-unless --seconds is given, the change's `BENCHMARK.json` run length N: the
-parent first on odd pairs and the change first on even pairs, so a drift in
-host speed does not favour either side. Only one run is ever in flight.
+--trace 0` once in each checkout, at the same seed S = --seed + i - 1 and
+`BENCHMARK.json`'s run length N: the parent first on odd pairs and the
+change first on even pairs, so a drift in host speed does not favour either
+side. It takes at least 10 pairs. Only one run is ever in flight.
 Every run starts without mmtsim's bytecode cache, as `bench_record.py`'s
 runs do: a checkout whose `src/` or `perfbench/` holds a `__pycache__`
 directory is refused, and each run has `PYTHONDONTWRITEBYTECODE=1`.
@@ -31,6 +31,7 @@ from pathlib import Path
 import bench_record
 
 SIDES = ("parent", "change")
+MIN_PAIRS = 10  # the fewest pairs that can back a claimed gain
 
 
 def pair_order(i: int) -> tuple[str, str]:
@@ -38,10 +39,10 @@ def pair_order(i: int) -> tuple[str, str]:
     return SIDES if i % 2 else SIDES[::-1]
 
 
-def read_benchmark(root: Path) -> tuple[dict[str, str], float]:
-    """Each end-to-end metric's name and better direction, and the run length, from BENCHMARK.json."""
+def read_metrics(root: Path) -> dict[str, str]:
+    """Each end-to-end metric's name and better direction, from BENCHMARK.json."""
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in bench["end_to_end"]}, bench["run_seconds"]
+    return {m["name"]: m["better"] for m in bench["end_to_end"]}
 
 
 def compare(values: dict[str, list[float]], better: str) -> dict:
@@ -76,12 +77,11 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, default=bench_record.ROOT, help="checkout of the change (this one)")
     parser.add_argument("--workload", choices=bench_record.WORKLOADS, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="perfbench's --seconds for each run (default: run_seconds)")
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seed", type=int, default=1, help="the seed of the first pair")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, root in roots.items():
         caches = bench_record.bytecode_caches(root)
@@ -91,15 +91,14 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
-    metrics, run_seconds = read_benchmark(roots["change"])
-    seconds = run_seconds if args.seconds is None else args.seconds
+    metrics = read_metrics(roots["change"])
     values = {name: {side: [] for side in SIDES} for name in metrics}
     units: dict[str, str] = {}
     ok = True
     for i in range(1, args.pairs + 1):
         seed = args.seed + i - 1
         for side in pair_order(i):
-            stdout = bench_record.run_perfbench(args.workload, seed, 0, root=roots[side], seconds=seconds)
+            stdout = bench_record.run_perfbench(args.workload, seed, 0, root=roots[side])
             result = bench_record.result_of(stdout)
             ok = ok and result["correct"] and result["failed"] == 0
             for name in metrics:

@@ -5,13 +5,14 @@ Usage (from the repository root):
     python3 tools/bench_record.py --pr 9
 
 For each perfbench workload, this runs `perfbench/run.py` in a subprocess,
-one run at a time: untraced at `--seconds 25` once for each seed in SEEDS,
-then once traced at seed 7. The seed-7 untraced run gives the output digest,
-which CI pins at that seed. Every run starts without mmtsim's bytecode
-cache: the collector refuses a checkout whose `src/` or `perfbench/` holds a
-`__pycache__` directory, and runs with `PYTHONDONTWRITEBYTECODE=1` and no
-`PYTHONPYCACHEPREFIX`, so each run compiles mmtsim and perfbench from source
-and writes no cache, while the standard library loads from its own caches.
+one run at a time, each for `BENCHMARK.json`'s `run_seconds` (25): untraced
+once for each seed in SEEDS, then once traced at seed 7. The seed-7 untraced
+run gives the output digest, which CI pins at that seed. Every run starts
+without mmtsim's bytecode cache: the collector refuses a checkout whose
+`src/` or `perfbench/` holds a `__pycache__` directory, and runs with
+`PYTHONDONTWRITEBYTECODE=1` and no `PYTHONPYCACHEPREFIX`, so each run
+compiles mmtsim and perfbench from source and writes no cache, while the
+standard library loads from its own caches.
 So neither `setup_s` nor `peak_rss_mib` depends on what the checkout or an
 earlier run left. It writes `BENCH_<pr>.json` at the repository root with,
 per workload:
@@ -40,7 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("suite-cli", "preset-sweep", "fuzz-pipelines")
-SECONDS = 25
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 SEEDS = (7, 8, 9, 10, 11)
 DIGEST_SEED = 7
 NO_BYTECODE_CACHE = {"PYTHONDONTWRITEBYTECODE": "1"}
@@ -52,12 +53,12 @@ def bytecode_caches(root: Path) -> list[Path]:
     return sorted(p for d in CACHE_FREE for p in (root / d).rglob("__pycache__"))
 
 
-def run_perfbench(workload: str, seed: int, trace: int, root: Path | None = None, seconds: float = SECONDS) -> str:
+def run_perfbench(workload: str, seed: int, trace: int, root: Path | None = None) -> str:
     """The standard output of one perfbench run in the checkout `root` (this
     one by default); a failed run raises."""
     root = ROOT if root is None else root
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed)]
-    cmd += ["--seconds", str(seconds), "--trace", str(trace)]
+    cmd += ["--seconds", str(SECONDS), "--trace", str(trace)]
     env = dict(os.environ, **NO_BYTECODE_CACHE)
     env.pop("PYTHONPYCACHEPREFIX", None)  # a prefix could hold mmtsim's cache, and hides the standard library's
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=env)
