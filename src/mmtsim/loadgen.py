@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
 from statistics import NormalDist
@@ -84,16 +84,18 @@ class InferenceRequest(NamedTuple):
     t_dl_us: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestStream:
     """All requests of one scenario over the benchmark window in dispatch order:
     by request time, then model, then request index. In that order a model's
-    requests must be its request indices 0, 1, 2, … with rising frames."""
+    requests must be its request indices 0, 1, 2, … with rising frames.
+    `plans`, `simulate`'s plans by edge shape, is no part of its value."""
 
     scenario: str
     duration: float
     seed: int
     requests: tuple[InferenceRequest, ...]
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         requests = tuple(sorted(self.requests, key=itemgetter(3, 0, 2)))

@@ -24,12 +24,13 @@ scenario's model order, wrapping around. A lone ready request is taken
 without comparing (round-robin still moves the unit's cursor to it).
 
 State: per-request state lives in flat lists indexed by stream position.
-What depends on the stream alone comes from a per-stream plan, built once
+What depends on the stream alone comes from a plan, built on the first run
 per edge shape (the scenario's (downstream, upstream) model pairs) and kept
-while the stream object lives: the columns `model_of`, `req_of` and `dl_of`
-(each position's model, request time and deadline, transposed from the
-requests in one `zip`), each model's positions in request index order, and
-the dependency anchors, which each edge finds in the frame column.
+in the stream's `plans`, outside its value, so it pickles and deep-copies
+with the stream: the columns `model_of`, `req_of` and `dl_of` (each
+position's model, request time and deadline, transposed from the requests
+in one `zip`), each model's positions in request index order, and the
+dependency anchors, which each edge finds in the frame column.
 Anchors name edges by number, so each run gates with its own scenario's
 edges. The event loop, the drop rule and both policies read the columns, not
 the requests' attributes; a run copies the plan's counts of unresolved
@@ -38,11 +39,11 @@ events: a request joins it on arrival with no unresolved dependency, or when
 its last gate fires while it waits, and leaves it on launch or drop. A
 stream holding a model the scenario does not run is a ConfigError. The log a
 run returns shares the plan's per-model positions through a read-only view,
-so neither the log nor its reader can change a later run. The stream itself
-is not touched. A request's status is set exactly once, when it launches
-(completed) or fails (dropped or untriggered); requests still waiting when
-the stream runs out are dropped. A failed anchor never completes, so its
-edges never fire and its dependents never launch.
+so neither the log nor its reader can change a later run. A run adds its plan
+to the stream and changes nothing else there. A request's status is set
+exactly once, when it launches (completed) or fails (dropped or untriggered);
+requests still waiting when the stream runs out are dropped. A failed anchor
+never completes, so its edges never fire and its dependents never launch.
 
 A single simulation is strictly single-threaded and deterministic; multiple
 simulations can run concurrently since all inputs are immutable (concurrent
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import csv
 import heapq
-import weakref
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -144,26 +144,17 @@ class _Plan(NamedTuple):
     model_of: list[str]
     req_of: list[int]
     dl_of: list[int]
-    positions: Mapping[str, tuple[int, ...]]  # model -> its positions, read-only
+    positions: dict[str, tuple[int, ...]]  # model -> its positions
     dependents: dict[int, list[tuple[int, int]]]  # anchor -> (edge number, downstream)
     unresolved: list[int]  # anchored dependencies
-
-
-# id(stream) -> edge shape -> plan, for live streams only: a finalizer drops a
-# stream's plans when the stream is collected, before its id can be reused.
-_plans: dict[int, dict[tuple[tuple[str, str], ...], _Plan]] = {}
 
 
 def _plan(stream: RequestStream, pairs: tuple[tuple[str, str], ...]) -> _Plan:
     """The stream's plan for the edges `pairs`, a (downstream model, upstream
     model) pair per edge in the scenario's entry order. Built on first use
-    and kept while the stream lives, so later runs of the same stream object,
-    under scenarios whose edges differ only in trigger probability, share it."""
-    plans = _plans.get(id(stream))
-    if plans is None:
-        plans = _plans[id(stream)] = {}
-        weakref.finalize(stream, _plans.pop, id(stream), None)
-    plan = plans.get(pairs)
+    and kept in `stream.plans`, so later runs of the same stream, under
+    scenarios whose edges differ only in trigger probability, share it."""
+    plan = stream.plans.get(pairs)
     if plan is not None:
         return plan
     requests = stream.requests
@@ -173,7 +164,7 @@ def _plan(stream: RequestStream, pairs: tuple[tuple[str, str], ...]) -> _Plan:
     by_model: dict[str, list[int]] = {}
     for p, model in enumerate(model_of):
         by_model.setdefault(model, []).append(p)
-    positions = MappingProxyType({model: tuple(ps) for model, ps in by_model.items()})
+    positions = {model: tuple(ps) for model, ps in by_model.items()}
 
     # Anchor each dependency edge of a request to the latest upstream request
     # whose frame does not exceed the downstream frame.
@@ -188,7 +179,7 @@ def _plan(stream: RequestStream, pairs: tuple[tuple[str, str], ...]) -> _Plan:
                 continue  # no upstream frame precedes; nothing to wait on
             dependents.setdefault(ups[k], []).append((e, p))
             unresolved[p] += 1
-    plan = plans[pairs] = _Plan(model_of, req_of, dl_of, positions, dependents, unresolved)
+    plan = stream.plans[pairs] = _Plan(model_of, req_of, dl_of, positions, dependents, unresolved)
     return plan
 
 
@@ -326,7 +317,7 @@ def simulate(
         t_end_us=t_end_us,
         status=[st or DROPPED for st in status],
         energy_mj=energy_mj,
-        positions=positions,
+        positions=MappingProxyType(positions),
     )
 
 

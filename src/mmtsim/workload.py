@@ -452,7 +452,7 @@ def config_from_obj(obj: Mapping) -> SuiteConfig:
                     ScenarioEntry(model=e["model"], target_rate=json_number(e, "target_rate"), dependencies=deps)
                 )
             scenarios.append(UsageScenario(id=s["id"], entries=tuple(entries)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: `.get` on a non-object
         raise ConfigError(f"malformed suite specification: {exc}") from exc
     return SuiteConfig(sources=sources, models=models, suite=BenchmarkSuite(scenarios=tuple(scenarios)))
 

@@ -12,7 +12,10 @@ import bench_pairs
 
 BENCHMARK = {
     "run_seconds": 25,
-    "end_to_end": [{"name": "wall_s", "better": "lower"}, {"name": "req_per_s", "better": "higher"}],
+    "end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "req_per_s", "better": "higher", "bound": 0.25},
+    ],
 }
 
 
@@ -76,13 +79,30 @@ def test_pairs_alternate_which_side_runs_first_at_one_seed_per_pair(monkeypatch,
     wall = next(line for line in out.splitlines() if " wall_s " in line)
     assert "parent 1.175 [IQR 0.175]" in wall and "change 0.975 [IQR 0.0875]" in wall
     assert "the change won 8 of 10" in wall and "differ by more than" in wall
+    assert wall.endswith("worse than the parent by more than the 25% bound: no")
 
 
 def test_the_summary_counts_wins_in_each_metrics_better_direction():
-    c = bench_pairs.compare({"parent": [10.0, 20.0, 30.0], "change": [12.0, 19.0, 31.0]}, "higher")
+    c = bench_pairs.compare({"parent": [10.0, 20.0, 30.0], "change": [12.0, 19.0, 31.0]}, "higher", 0.25)
     assert c["wins"] == 2 and c["parent"]["median"] == 20.0 and c["parent"]["iqr"] == 10.0
     assert c["relative"] == pytest.approx(-0.05) and not c["beyond_parent_iqr"]
-    assert bench_pairs.compare({"parent": [10.0, 20.0, 30.0], "change": [12.0, 19.0, 31.0]}, "lower")["wins"] == 1
+    assert bench_pairs.compare({"parent": [10.0, 20.0, 30.0], "change": [12.0, 19.0, 31.0]}, "lower", 0.25)["wins"] == 1
+
+
+@pytest.mark.parametrize(
+    ("better", "change", "beyond"),
+    [
+        ("lower", [11.9, 12.1, 12.2], False),  # +21%: worse, within 25%
+        ("lower", [12.4, 12.6, 12.8], True),  # +26%
+        ("lower", [5.0, 5.0, 5.0], False),  # −50%: better by any margin
+        ("higher", [7.9, 8.1, 8.2], False),  # −19%
+        ("higher", [7.3, 7.4, 7.6], True),  # −26%
+        ("higher", [20.0, 20.0, 20.0], False),  # +100%
+    ],
+)
+def test_the_summary_tells_whether_the_median_is_worse_by_more_than_the_bound(better, change, beyond):
+    c = bench_pairs.compare({"parent": [9.0, 10.0, 11.0], "change": change}, better, 0.25)
+    assert c["beyond_bound"] is beyond
 
 
 def test_fewer_than_ten_pairs_are_refused(monkeypatch, tmp_path, capsys):

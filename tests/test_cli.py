@@ -324,6 +324,11 @@ WRONGLY_TYPED_FIELDS = {
         lambda o: o["scenarios"][0]["entries"][0].update(target_rate=True),
         "target_rate must be a number, not True",
     ),
+    "suite-entry-not-an-object": (
+        "--suite",
+        lambda o: o["scenarios"][0]["entries"].__setitem__(0, ["HT", 30]),
+        "malformed suite specification: ",
+    ),
     "suite-flops-true": ("--suite", lambda o: o["models"][0].update(flops=True), "flops must be a number, not True"),
     "suite-rate-beyond-float": (
         "--suite",

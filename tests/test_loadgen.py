@@ -1,4 +1,3 @@
-import gc
 import pickle
 from collections import Counter
 from dataclasses import replace
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmtsim import ConfigError, InputSource, ScenarioEntry, UnitModel, UsageScenario, simulate, synthetic_table
-from mmtsim import runtime
 from mmtsim.costmodel import preset_system
 from mmtsim.loadgen import (
     InferenceRequest,
@@ -146,24 +144,24 @@ def test_a_repeated_frame_is_a_config_error():
 
 
 def test_a_simulated_stream_stays_an_equal_value():
-    # simulate keeps a plan per stream object; it must not show in the stream's value
+    # simulate keeps its plan on the stream; it must not show in the stream's value
     config = builtin_config()
     scenario = config.suite.scenario("outdoor-activity-a")
     stream = generate_requests(scenario, config.sources, config.models, 1.0, seed=7)
     twin = generate_requests(scenario, config.sources, config.models, 1.0, seed=7)
     before = repr(stream)
+    assert pickle.dumps(stream) == pickle.dumps(twin)  # unsimulated, neither carries a plan
     hw = preset_system("J")
-    simulate(scenario, stream, hw, synthetic_table(config.models, hw))
-    assert id(stream) in runtime._plans  # the plan was kept
+    costs = synthetic_table(config.models, hw)
+    log = simulate(scenario, stream, hw, costs)
+    assert stream.plans  # the plan was kept
     assert stream == twin and hash(stream) == hash(twin)
     assert repr(stream) == repr(twin) == before
-    assert pickle.dumps(stream) == pickle.dumps(twin)
     copy = replace(stream)
-    assert copy == stream and id(copy) not in runtime._plans
-    key = id(stream)
-    del stream
-    gc.collect()
-    assert key not in runtime._plans  # dropped with the stream
+    assert copy == stream and copy.plans == {}  # a new stream starts with no plan
+    log2 = simulate(scenario, copy, hw, costs)
+    for column in ("unit", "t_start_us", "t_end_us", "status", "energy_mj", "counts"):
+        assert getattr(log2, column) == getattr(log, column), column
 
 
 def test_multi_modal_request_time_is_max_over_sources():

@@ -15,9 +15,10 @@ directory is refused, and each run has `PYTHONDONTWRITEBYTECODE=1`.
 
 For each end-to-end metric of `BENCHMARK.json`, it prints the medians and
 interquartile ranges of both sides, the change in the median, how many
-pairs the change won, and whether the medians differ by more than the
-parent's interquartile range. It exits with code 1 if any run was not
-correct or failed an operation.
+pairs the change won, whether the medians differ by more than the
+parent's interquartile range, and whether the change's median is worse than
+the parent's by more than the metric's relative `bound`. It exits with code
+1 if any run was not correct or failed an operation.
 """
 
 from __future__ import annotations
@@ -39,14 +40,15 @@ def pair_order(i: int) -> tuple[str, str]:
     return SIDES if i % 2 else SIDES[::-1]
 
 
-def read_metrics(root: Path) -> dict[str, str]:
-    """Each end-to-end metric's name and better direction, from BENCHMARK.json."""
+def read_metrics(root: Path) -> dict[str, tuple[str, float]]:
+    """Each end-to-end metric's name, better direction and relative bound, from BENCHMARK.json."""
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in bench["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
 
 
-def compare(values: dict[str, list[float]], better: str) -> dict:
-    """Medians, interquartile ranges and the change's wins over the pairs of one metric."""
+def compare(values: dict[str, list[float]], better: str, bound: float) -> dict:
+    """Medians, interquartile ranges and the change's wins over the pairs of one
+    metric, and whether its median is worse than the parent's by more than `bound`."""
     parent, change = values["parent"], values["change"]
     stats = {}
     for side in SIDES:
@@ -54,21 +56,24 @@ def compare(values: dict[str, list[float]], better: str) -> dict:
         stats[side] = {"median": median, "iqr": q3 - q1}
     wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
     gap = stats["change"]["median"] - stats["parent"]["median"]
+    relative = gap / stats["parent"]["median"]
     return {
         **stats,
-        "relative": gap / stats["parent"]["median"],
+        "relative": relative,
         "wins": wins,
         "beyond_parent_iqr": abs(gap) > stats["parent"]["iqr"],
+        "beyond_bound": (relative if better == "lower" else -relative) > bound,
     }
 
 
-def report_line(workload: str, name: str, unit: str, better: str, c: dict, pairs: int) -> str:
+def report_line(workload: str, name: str, unit: str, better: str, bound: float, c: dict, pairs: int) -> str:
     p, ch = c["parent"], c["change"]
     beyond = "more" if c["beyond_parent_iqr"] else "no more"
     return (
         f"{workload} {name} ({unit}, {better} is better): parent {p['median']:.6g} [IQR {p['iqr']:.3g}]"
         f" -> change {ch['median']:.6g} [IQR {ch['iqr']:.3g}], {c['relative']:+.1%};"
-        f" the change won {c['wins']} of {pairs}; the medians differ by {beyond} than the parent's IQR"
+        f" the change won {c['wins']} of {pairs}; the medians differ by {beyond} than the parent's IQR;"
+        f" worse than the parent by more than the {bound:.0%} bound: {'yes' if c['beyond_bound'] else 'no'}"
     )
 
 
@@ -107,8 +112,9 @@ def main(argv=None) -> int:
         shown = ", ".join(f"{n} {values[n]['parent'][-1]:.6g}/{values[n]['change'][-1]:.6g}" for n in metrics)
         print(f"pair {i} seed {seed}, {pair_order(i)[0]} first, parent/change: {shown}", file=sys.stderr)
 
-    for name, better in metrics.items():
-        print(report_line(args.workload, name, units[name], better, compare(values[name], better), args.pairs))
+    for name, (better, bound) in metrics.items():
+        c = compare(values[name], better, bound)
+        print(report_line(args.workload, name, units[name], better, bound, c, args.pairs))
     print(f"{args.workload}: every run correct with no failed operation: {ok}")
     return 0 if ok else 1
 
