@@ -13,8 +13,9 @@ equal timestamps, completions free their units in unit id order and
 resolve the gates downstream of them, then arrivals apply the drop rule,
 then free units, lowest id first, each take one ready request by the policy.
 
-Policies: a model has at most one ready request (a newer arrival drops the
-one waiting), so a policy picks among models. "latency-greedy" takes the
+Policies: a request waits while it has arrived (its position is below the
+cursor) and has no status, so a model has at most one waiting request, its
+latest arrival, and a policy picks among models. "latency-greedy" takes the
 request with the lowest cost-table latency on the freeing unit, then the
 earliest deadline, then the lowest model id. It scans the unit's models in
 (latency, id) order, sorted when the unit first compares, and compares
@@ -34,14 +35,16 @@ dependency anchors, which each edge finds in the frame column.
 Anchors name edges by number, so each run gates with its own scenario's
 edges. The event loop, the drop rule and both policies read the columns, not
 the requests' attributes; a run copies the plan's counts of unresolved
-dependencies and changes nothing else in it. The ready set is kept across
-events: a request joins it on arrival with no unresolved dependency, or when
-its last gate fires while it waits, and leaves it on launch or drop. A
-stream holding a model the scenario does not run is a ConfigError. The log a
-run returns shares the plan's per-model positions through a read-only view,
-so neither the log nor its reader can change a later run. A run adds its plan
-to the stream and changes nothing else there. A request's status is set
-exactly once, when it launches (completed) or fails (dropped or untriggered);
+dependencies and changes nothing else in it. `latest` maps each model to its
+latest arrival, written only on arrival: an arrival drops the request it
+replaces if that one has no status yet. The ready set is kept across events:
+a request joins it on arrival with no unresolved dependency, or when its last
+gate fires while it waits, and leaves it on launch or drop. A stream holding
+a model the scenario does not run is a ConfigError. The log a run returns
+shares the plan's per-model positions through a read-only view, so neither
+the log nor its reader can change a later run. A run adds its plan to the
+stream and changes nothing else there. A request's status is set exactly
+once, when it launches (completed) or fails (dropped or untriggered);
 requests still waiting when the stream runs out are dropped. A failed anchor
 never completes, so its edges never fire and its dependents never launch.
 
@@ -231,8 +234,8 @@ def simulate(
 
     completions: list[tuple[int, int, int]] = []  # (t_end_us, unit rank, position)
     free = list(range(len(units)))  # ranks of idle units, ascending
-    pending: dict[str, int] = {}  # model -> its arrived, waiting request
-    ready: dict[str, int] = {}  # the pending requests with no unresolved dependency
+    latest: dict[str, int] = {}  # model -> its latest arrival, waiting while its status is None
+    ready: dict[str, int] = {}  # the waiting requests with no unresolved dependency
     by_latency: list[list[tuple[float, str]] | None] = [None] * len(units)  # rank -> (latency, model), sorted
     cursor = 0
     while cursor < n or completions:
@@ -250,14 +253,11 @@ def simulate(
                 for e, d in dependents[p]:
                     if status[d] is not None:
                         continue
-                    model = model_of[d]
                     if eval_control_gate(edges[e], up_frame, stream.seed):
                         unresolved[d] -= 1
-                        if not unresolved[d] and pending.get(model) == d:
-                            ready[model] = d
+                        if not unresolved[d] and d < cursor:  # arrived, so waiting
+                            ready[model_of[d]] = d
                     else:  # d is not ready: this edge is one of its unresolved dependencies
-                        if pending.get(model) == d:
-                            del pending[model]
                         status[d] = UNTRIGGERED
 
         # Arrivals supersede their model's waiting request (the drop rule).
@@ -265,14 +265,13 @@ def simulate(
             p = cursor
             cursor += 1
             model = model_of[p]
-            prev = pending.pop(model, None)
-            if prev is not None:
+            prev = latest.get(model)
+            if prev is not None and status[prev] is None:
                 status[prev] = DROPPED
                 ready.pop(model, None)
-            if status[p] is None:
-                pending[model] = p
-                if not unresolved[p]:
-                    ready[model] = p
+            latest[model] = p
+            if status[p] is None and not unresolved[p]:
+                ready[model] = p
 
         # Free units, lowest rank first, take the policy's pick of the ready set.
         while ready and free:
@@ -297,7 +296,6 @@ def simulate(
             if policy == ROUND_ROBIN:
                 last[rank] = order[model]
             p = ready.pop(model)
-            del pending[model]
             status[p] = COMPLETED
             unit[p] = unit_ids[rank]
             t_start_us[p] = now

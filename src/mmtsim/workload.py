@@ -85,6 +85,8 @@ class UnitModel:
         check_id("model", self.id)
         if not self.input_sources:
             raise ConfigError(f"model {self.id!r}: needs at least one input source")
+        for src_id in self.input_sources:
+            check_id(f"model {self.id!r}: input source", src_id)
         if self.metric_direction not in (HIGHER_IS_BETTER, LOWER_IS_BETTER):
             raise ConfigError(f"model {self.id!r}: bad metric_direction {self.metric_direction!r}")
         if not 0 < self.reported_metric < math.inf:
@@ -110,6 +112,8 @@ class DependencyEdge:
     trigger_probability: float = 1.0
 
     def __post_init__(self) -> None:
+        check_id("upstream model", self.upstream)
+        check_id("downstream model", self.downstream)
         if not 0.0 <= self.trigger_probability <= 1.0:
             raise ConfigError(f"edge {self.key}: trigger_probability must be in [0,1]")
 

@@ -329,6 +329,16 @@ WRONGLY_TYPED_FIELDS = {
         lambda o: o["scenarios"][0]["entries"].__setitem__(0, ["HT", 30]),
         "malformed suite specification: ",
     ),
+    "suite-input-source-list": (
+        "--suite",
+        lambda o: o["models"][0].update(input_sources=[["camera"]]),
+        "input source id must be a string, not ['camera']",
+    ),
+    "suite-upstream-list": (
+        "--suite",
+        lambda o: o["scenarios"][0]["entries"][2].update(dependencies=[{"upstream": ["x"]}]),
+        "upstream model id must be a string, not ['x']",
+    ),
     "suite-flops-true": ("--suite", lambda o: o["models"][0].update(flops=True), "flops must be a number, not True"),
     "suite-rate-beyond-float": (
         "--suite",
