@@ -75,7 +75,7 @@ def _scenarios(args, config: workload.SuiteConfig) -> list[workload.UsageScenari
     return list(config.suite.scenarios)
 
 
-def _resolved_config_obj(args, hw, table, cfg) -> dict:
+def _resolved_config_obj(args, hw, cfg) -> dict:
     return {
         "suite": args.suite or "builtin",
         "scenario": args.scenario,
@@ -140,7 +140,7 @@ def cmd_run(args) -> int:
 
     report = scoring.suite_report(reports, cfg)
     report_obj = scoring.report_to_obj(report)
-    report_obj["run_config"] = _resolved_config_obj(args, hw, table, cfg)
+    report_obj["run_config"] = _resolved_config_obj(args, hw, cfg)
     with _atomic_write(out / "report.json") as fh:
         fh.write(json.dumps(report_obj, indent=2) + "\n")
     summary = _summary_text(report)

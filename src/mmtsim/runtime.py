@@ -61,7 +61,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .costmodel import CostTable, HardwareSystem
 from .errors import ConfigError
@@ -152,6 +152,23 @@ class _Plan(NamedTuple):
     unresolved: list[int]  # anchored dependencies
 
 
+def _anchors(
+    pairs: Sequence[tuple[str, str]], positions: Mapping[str, Sequence[int]], frame_of: Sequence[int]
+) -> Iterator[tuple[int, int, int]]:
+    """The dependency rule: edge e, whose (downstream, upstream) models are
+    `pairs[e]`, anchors each downstream request to the latest upstream request
+    whose frame does not exceed its own, if there is one. Yields (e, downstream
+    position, anchor position) by edge, then by downstream frame. `positions`
+    lists each model's positions in frame order; `frame_of` is each one's frame."""
+    for e, (downstream, upstream) in enumerate(pairs):
+        ups = positions.get(upstream, ())
+        up_frames = [frame_of[q] for q in ups]
+        for p in positions.get(downstream, ()):
+            k = bisect_right(up_frames, frame_of[p]) - 1
+            if k >= 0:
+                yield e, p, ups[k]
+
+
 def _plan(stream: RequestStream, pairs: tuple[tuple[str, str], ...]) -> _Plan:
     """The stream's plan for the edges `pairs`, a (downstream model, upstream
     model) pair per edge in the scenario's entry order. Built on first use
@@ -169,19 +186,11 @@ def _plan(stream: RequestStream, pairs: tuple[tuple[str, str], ...]) -> _Plan:
         by_model.setdefault(model, []).append(p)
     positions = {model: tuple(ps) for model, ps in by_model.items()}
 
-    # Anchor each dependency edge of a request to the latest upstream request
-    # whose frame does not exceed the downstream frame.
     dependents: dict[int, list[tuple[int, int]]] = {}
     unresolved = [0] * n
-    for e, (model_id, upstream) in enumerate(pairs):
-        ups = positions.get(upstream, ())
-        up_frames = [frame_of[q] for q in ups]
-        for p in positions.get(model_id, ()):
-            k = bisect_right(up_frames, frame_of[p]) - 1
-            if k < 0:
-                continue  # no upstream frame precedes; nothing to wait on
-            dependents.setdefault(ups[k], []).append((e, p))
-            unresolved[p] += 1
+    for e, p, q in _anchors(pairs, positions, frame_of):
+        dependents.setdefault(q, []).append((e, p))
+        unresolved[p] += 1
     plan = stream.plans[pairs] = _Plan(model_of, req_of, dl_of, positions, dependents, unresolved)
     return plan
 
@@ -321,8 +330,9 @@ def simulate(
 
 def validate_schedule(log: EventLog, scenario: UsageScenario) -> list[str]:
     """Check occupancy, dependency order, and arrival constraints on a log,
-    reading its columns. Each dependency is anchored anew by frame, so a log
-    from outside the program is checked against the scenario, not a plan."""
+    reading its columns. Each dependency is anchored anew by `_anchors`, the
+    dispatcher's rule, so a log from outside the program is checked against
+    the scenario, not a plan."""
     requests, unit, t_start_us, t_end_us, status = log.requests, log.unit, log.t_start_us, log.t_end_us, log.status
 
     def name(p: int) -> str:
@@ -339,22 +349,18 @@ def validate_schedule(log: EventLog, scenario: UsageScenario) -> list[str]:
             if t_start_us[cur] < t_end_us[prev]:
                 violations.append(f"occupancy violation on unit {unit_id}: {name(prev)} overlaps {name(cur)}")
 
-    # An edge's two models' positions by frame; a stable sort keeps request index order within a frame.
+    # The edges' models' positions by frame; a stable sort keeps request index order within a frame.
     frame_of = [r.frame_index for r in requests]
-    for edge in scenario.edges():
-        ups = sorted(log.positions.get(edge.upstream, ()), key=frame_of.__getitem__)
-        up_frames = [frame_of[q] for q in ups]
-        for p in sorted(log.positions.get(edge.downstream, ()), key=frame_of.__getitem__):
-            if status[p] != COMPLETED:
-                continue
-            k = bisect_right(up_frames, frame_of[p]) - 1
-            if k < 0:
-                continue
-            q = ups[k]
-            if status[q] != COMPLETED:
-                violations.append(f"dependency violation {edge.key}: {name(p)} ran without its upstream")
-            elif t_start_us[p] < t_end_us[q]:
-                violations.append(f"dependency violation {edge.key}: {name(p)} started before upstream ended")
+    edges = scenario.edges()
+    pairs = [(edge.downstream, edge.upstream) for edge in edges]
+    by_frame = {m: sorted(log.positions.get(m, ()), key=frame_of.__getitem__) for pair in pairs for m in pair}
+    for e, p, q in _anchors(pairs, by_frame, frame_of):
+        if status[p] != COMPLETED:
+            continue
+        if status[q] != COMPLETED:
+            violations.append(f"dependency violation {edges[e].key}: {name(p)} ran without its upstream")
+        elif t_start_us[p] < t_end_us[q]:
+            violations.append(f"dependency violation {edges[e].key}: {name(p)} started before upstream ended")
     return violations
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping
 
@@ -298,10 +298,6 @@ P_KD_SR_ASSISTANT = 0.5
 P_ES_GE = 1.0
 
 
-def _edge(up: str, down: str, p: float) -> DependencyEdge:
-    return DependencyEdge(upstream=up, downstream=down, trigger_probability=p)
-
-
 def _scenario(sid: str, entries: Iterable[tuple]) -> UsageScenario:
     built = []
     for model, rate, *deps in entries:
@@ -332,9 +328,9 @@ def builtin_models() -> dict[str, UnitModel]:
 
 def builtin_suite() -> BenchmarkSuite:
     """The seven shipped usage scenarios with their target rates and dependencies."""
-    es_ge = _edge("ES", "GE", P_ES_GE)
-    kd_sr_outdoor = _edge("KD", "SR", P_KD_SR_OUTDOOR)
-    kd_sr_assistant = _edge("KD", "SR", P_KD_SR_ASSISTANT)
+    es_ge = DependencyEdge("ES", "GE", P_ES_GE)
+    kd_sr_outdoor = DependencyEdge("KD", "SR", P_KD_SR_OUTDOOR)
+    kd_sr_assistant = DependencyEdge("KD", "SR", P_KD_SR_ASSISTANT)
     return BenchmarkSuite(
         scenarios=(
             _scenario("social-interaction-a", [("HT", 30), ("ES", 60), ("GE", 60, [es_ge]), ("DR", 30)]),
@@ -359,19 +355,15 @@ def with_edge_probability(
     scenario: UsageScenario, upstream: str, downstream: str, probability: float
 ) -> UsageScenario:
     """A copy of the scenario with one edge's trigger probability replaced."""
-    found = False
-    entries = []
-    for entry in scenario.entries:
-        deps = []
-        for edge in entry.dependencies:
-            if edge.upstream == upstream and edge.downstream == downstream:
-                found = True
-                edge = DependencyEdge(upstream=upstream, downstream=downstream, trigger_probability=probability)
-            deps.append(edge)
-        entries.append(ScenarioEntry(model=entry.model, target_rate=entry.target_rate, dependencies=tuple(deps)))
-    if not found:
+    if not any(e.upstream == upstream and e.downstream == downstream for e in scenario.edges()):
         raise ConfigError(f"scenario {scenario.id!r} has no edge {upstream}->{downstream}")
-    return UsageScenario(id=scenario.id, entries=tuple(entries))
+    entries = list(scenario.entries)
+    for i, entry in enumerate(entries):
+        if entry.model == downstream:  # the one entry whose edges have that downstream
+            deps = tuple(replace(e, trigger_probability=probability) if e.upstream == upstream else e
+                         for e in entry.dependencies)
+            entries[i] = replace(entry, dependencies=deps)
+    return replace(scenario, entries=tuple(entries))
 
 
 # --- Suite specification files --------------------------------------------
