@@ -186,6 +186,11 @@ def preset_system(preset: str, total_pes: int = 4096) -> HardwareSystem:
     except KeyError:
         raise ConfigError(f"unknown accelerator preset {preset!r} (expected A..M)") from None
     total_ratio = sum(ratio for _, ratio in parts)
+    fewest = math.ceil(total_ratio / min(ratio for _, ratio in parts))  # the fewest that give each unit a PE
+    if total_pes < fewest:
+        raise ConfigError(
+            f"accelerator preset {preset.upper()!r}: total PEs must be at least {fewest}, not {total_pes}"
+        )
     units = tuple(
         HardwareUnit(id=f"u{i}-{dataflow.lower()}", dataflow=dataflow, pe_count=total_pes * ratio // total_ratio)
         for i, (dataflow, ratio) in enumerate(parts)

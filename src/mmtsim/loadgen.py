@@ -25,6 +25,9 @@ from .workload import InputSource, ScenarioEntry, UnitModel, UsageScenario, vali
 
 US_PER_MS = 1000
 US_PER_S = 1_000_000
+# The most requests one scenario's window may hold: about 18 times the 108,000
+# of the largest 600 s built-in stream (social-interaction-a).
+MAX_REQUESTS = 2_000_000
 
 _NORMAL = NormalDist()
 _JITTER_SIGMA = 1.0 / 6.0
@@ -137,11 +140,27 @@ def target_count(target_rate: float, duration: float) -> int:
     return math.floor(target_rate * duration + 0.5)
 
 
-def check_window(scenario: UsageScenario, duration: float) -> None:
-    """Raise ConfigError unless every model of the scenario gets at least one
-    request in a window of `duration` seconds."""
+def _check_duration(scenario: UsageScenario, duration: float) -> None:
+    """Raise ConfigError unless the window is finite and positive and the
+    scenario's requests in it, summed over its models, are within MAX_REQUESTS;
+    this runs before any list of frames or requests is built."""
     if not 0 < duration < math.inf:
         raise ConfigError("duration must be finite and > 0")
+    try:
+        count = sum(target_count(entry.target_rate, duration) for entry in scenario.entries)
+    except OverflowError:  # a rate times the window is beyond the float range
+        count = math.inf
+    if count > MAX_REQUESTS:
+        raise ConfigError(
+            f"scenario {scenario.id!r}: a {duration:g} s window holds {count} requests, "
+            f"over the bound of {MAX_REQUESTS}"
+        )
+
+
+def check_window(scenario: UsageScenario, duration: float) -> None:
+    """Raise ConfigError unless the window passes `_check_duration` and gives
+    every model of the scenario at least one request."""
+    _check_duration(scenario, duration)
     for entry in scenario.entries:
         if target_count(entry.target_rate, duration) < 1:
             raise ConfigError(
@@ -163,8 +182,7 @@ def generate_requests(
     the aligned frame. Requests near the window end are generated even when
     jitter pushes them past `duration`.
     """
-    if not 0 < duration < math.inf:
-        raise ConfigError("duration must be finite and > 0")
+    _check_duration(scenario, duration)
     violations = validate_scenario(scenario, sources, models)
     if violations:
         raise ConfigError(f"invalid scenario {scenario.id!r}: " + "; ".join(violations))

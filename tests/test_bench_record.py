@@ -78,6 +78,17 @@ def test_the_point_records_that_its_runs_had_no_bytecode_cache(monkeypatch, tmp_
     assert settings["no_pycache_in"] == ["src", "perfbench"]
 
 
+def test_the_point_records_each_workload_that_benchmark_json_names(monkeypatch, tmp_path):
+    bench = json.loads((Path(bench_record.__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "git", lambda *args: "")
+    monkeypatch.setattr(bench_record, "record_workload", lambda workload: {"correct": True})
+    assert bench_record.main(["--pr", "0"]) == 0
+    recorded = json.loads((tmp_path / "BENCH_0.json").read_text())["workloads"]
+    assert list(recorded) == [w["name"] for w in bench["workloads"]]
+    assert bench_record.SECONDS == bench["run_seconds"]
+
+
 @pytest.mark.parametrize("cache", ["src/mmtsim/__pycache__", "perfbench/__pycache__"])
 def test_a_checkout_holding_a_bytecode_cache_is_refused(monkeypatch, tmp_path, capsys, cache):
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from mmtsim import ConfigError, builtin_config, runtime
+from mmtsim import ConfigError, builtin_config, loadgen, runtime
 from mmtsim.cli import main
 from mmtsim.costmodel import (
     CostTable,
@@ -372,9 +372,9 @@ WRONGLY_TYPED_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("case", WRONGLY_TYPED_FIELDS)
-def test_wrongly_typed_id_or_number_in_a_file_is_a_config_error(tmp_path, capsys, case):
-    flag, edit, message = WRONGLY_TYPED_FIELDS[case]
+def _run_with_edited_file(tmp_path, flag, edit) -> int:
+    """`run` on preset J with the synthetic costs, a second of every scenario,
+    and the file that `flag` names: J's, the built-in one, `edit`ed."""
     config, hw = builtin_config(), preset_system("J")
     obj = {
         "--costs": table_to_obj(synthetic_table(config.models, hw)),
@@ -383,12 +383,67 @@ def test_wrongly_typed_id_or_number_in_a_file_is_a_config_error(tmp_path, capsys
     }[flag]
     edit(obj)
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(obj))
-    code = main(["run", "--hw", "preset:J", "--synthetic", "--duration", "1", flag, str(path),
+    path.write_text(json.dumps(obj))  # NaN as JSON's non-standard literal
+    return main(["run", "--hw", "preset:J", "--synthetic", "--duration", "1", flag, str(path),
                  "--out", str(tmp_path / "o")])
-    assert code == 2
+
+
+@pytest.mark.parametrize("case", WRONGLY_TYPED_FIELDS)
+def test_wrongly_typed_id_or_number_in_a_file_is_a_config_error(tmp_path, capsys, case):
+    flag, edit, message = WRONGLY_TYPED_FIELDS[case]
+    assert _run_with_edited_file(tmp_path, flag, edit) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+# (file option, an edit of the file's object, the error): a well-typed value the record refuses
+REFUSED_VALUES = {
+    "hw-pe-count-zero": ("--hw", lambda o: o["units"][0].update(pe_count=0), "unit 'u0-ws': pe_count must be > 0"),
+    "hw-power-nan": (
+        "--hw",
+        lambda o: o["units"][1].update(power_watts=math.nan),
+        "unit 'u1-os': power_watts must be finite",
+    ),
+    "hw-duplicate-unit-id": ("--hw", lambda o: o["units"][1].update(id="u0-ws"), "system 'J-4k': duplicate unit ids"),
+    "costs-duplicate-entry": (
+        "--costs",
+        lambda o: o["entries"].append(o["entries"][0]),
+        "duplicate cost entry for ('AS', 'u0-ws')",
+    ),
+    "suite-init-latency-negative": (
+        "--suite",
+        lambda o: o["input_sources"][0].update(init_latency_ms=-1),
+        "input source 'camera': init_latency must be finite and >= 0",
+    ),
+    "suite-flops-zero": (
+        "--suite",
+        lambda o: o["models"][0].update(flops=0),
+        "model 'HT': flops must be positive when given",
+    ),
+    "suite-target-rate-zero": (
+        "--suite",
+        lambda o: o["scenarios"][0]["entries"][0].update(target_rate=0),
+        "scenario entry 'HT': target_rate must be finite and > 0",
+    ),
+    "suite-duplicate-entry": (
+        "--suite",
+        lambda o: o["scenarios"][0]["entries"].append(o["scenarios"][0]["entries"][0]),
+        "scenario 'social-interaction-a': duplicate model ids",
+    ),
+    "suite-duplicate-scenario": (
+        "--suite",
+        lambda o: o["scenarios"].append(o["scenarios"][0]),
+        "benchmark suite: duplicate scenario ids",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_VALUES)
+def test_a_value_a_record_refuses_in_a_file_is_one_error_line(tmp_path, capsys, case):
+    flag, edit, message = REFUSED_VALUES[case]
+    assert _run_with_edited_file(tmp_path, flag, edit) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag", ["--suite", "--hw", "--costs"])
@@ -735,3 +790,64 @@ def test_score_without_emax_is_a_config_error_before_the_timeline_is_read(tmp_pa
     code = main(["score", "--scenario", "vr-gaming", "--log", str(missing)])
     assert code == 2
     assert capsys.readouterr().err == "error: score requires --emax (the cost table is not available here)\n"
+
+
+def test_emax_overrides_the_bound_of_a_cost_file(tmp_path, capsys):
+    config, hw = builtin_config(), preset_system("J")
+    table = synthetic_table(config.models, hw)
+    costs = tmp_path / "costs.json"
+    costs.write_text(json.dumps(table_to_obj(table)))
+    argv = ["run", "--scenario", "vr-gaming", "--hw", "preset:J", "--costs", str(costs), "--duration", "1"]
+    emax = 1.5 * table.e_max_mj
+    assert main([*argv, "--emax", repr(emax), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["run_config"]["scoring"]["e_max_mj"] == report["scoring_config"]["e_max_mj"] == emax
+    capsys.readouterr()
+    # below an entry's energy, the overridden table refuses that entry
+    low = table.e_max_mj / 4
+    bad = next(e for e in table.entries() if e.energy_mj > low)
+    assert main([*argv, "--emax", repr(low), "--out", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cost ({bad.model!r}, {bad.unit!r}): energy {bad.energy_mj} mJ exceeds e_max {low} mJ\n"
+    )
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--edge", "ES->GE", "--values", "0.5", "--out", "o"], "sweep requires --scenario"),
+        (["sweep", "--scenario", "vr-gaming", "--edge", "ES-GE", "--values", "0.5", "--out", "o"],
+         "--edge must look like ES->GE"),
+        (["score", "--log", "timeline.csv", "--emax", "1.0"], "score requires --scenario"),
+        (["validate", "--hw", "preset:Z", "--synthetic"], "unknown accelerator preset 'Z' (expected A..M)"),
+        (["validate", "--hw", "preset:J:1", "--synthetic", "--scenario", "vr-gaming", "--duration", "0.1"],
+         "accelerator preset 'J': total PEs must be at least 2, not 1"),
+        (["validate", "--hw", "preset:K:3", "--synthetic", "--scenario", "vr-gaming", "--duration", "0.1"],
+         "accelerator preset 'K': total PEs must be at least 4, not 3"),
+        (["validate", "--hw", "preset:J", "--synthetic", "--scenario", "vr-gaming", "--duration", "0"],
+         "duration must be finite and > 0"),
+        (["validate", "--hw", "preset:J", "--synthetic", "--scenario", "vr-gaming", "--duration", "1e9"],
+         "scenario 'vr-gaming': a 1e+09 s window holds 165000000000 requests, over the bound of 2000000"),
+        (["sweep", "--scenario", "vr-gaming", "--edge", "ES->GE", "--values", "0.5", "--hw", "preset:J",
+          "--synthetic", "--duration", "1e9", "--out", "o"],
+         "scenario 'vr-gaming': a 1e+09 s window holds 165000000000 requests, over the bound of 2000000"),
+        (["run", "--hw", "preset:J", "--synthetic", "--duration", "1e9", "--out", "o"],
+         "scenario 'social-interaction-a': a 1e+09 s window holds 180000000000 requests, over the bound of 2000000"),
+        (["run", "--hw", "preset:J", "--synthetic", "--duration", "1e308", "--out", "o"],
+         "scenario 'social-interaction-a': a 1e+308 s window holds inf requests, over the bound of 2000000"),
+    ],
+    ids=["sweep-without-scenario", "sweep-edge-without-arrow", "score-without-scenario", "unknown-preset",
+         "preset-J-1-PE", "preset-K-3-PEs", "validate-duration-zero", "validate-over-the-request-bound",
+         "sweep-over-the-request-bound", "run-over-the-request-bound", "run-beyond-the-float-range"],
+)
+def test_a_bad_option_is_one_error_line_before_any_request_is_built(tmp_path, capsys, monkeypatch, argv, message):
+    def select_frames(*args):
+        raise AssertionError("a frame list was built")
+
+    monkeypatch.setattr(loadgen, "select_frames", select_frames)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []  # run writes nothing, not even its directory
+    assert argv[0] != "run" or not (tmp_path / "o").exists()

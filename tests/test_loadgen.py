@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from mmtsim import ConfigError, InputSource, ScenarioEntry, UnitModel, UsageScenario, simulate, synthetic_table
 from mmtsim.costmodel import preset_system
 from mmtsim.loadgen import (
+    MAX_REQUESTS,
     InferenceRequest,
     RequestStream,
+    check_window,
     det_rand,
     generate_requests,
     select_frames,
@@ -182,6 +184,18 @@ def test_invalid_scenario_rejected():
     scenario = UsageScenario(id="s", entries=(ScenarioEntry(model="A", target_rate=90.0),))
     with pytest.raises(ConfigError):
         generate_requests(scenario, sources, models, 1.0, seed=0)
+
+
+def test_a_window_over_max_requests_is_a_config_error_before_any_list_is_built():
+    scenario = UsageScenario(id="s", entries=(ScenarioEntry("A", 40.0), ScenarioEntry("B", 10.0)))
+    assert MAX_REQUESTS == 2_000_000
+    check_window(scenario, 40_000.0)  # 1,600,000 + 400,000 requests: at the bound
+    message = r"^scenario 's': a 40000.1 s window holds 2000005 requests, over the bound of 2000000$"
+    with pytest.raises(ConfigError, match=message):
+        check_window(scenario, 40_000.1)
+    # no sources or models: only a check made before the scenario's are read can raise this
+    with pytest.raises(ConfigError, match=message):
+        generate_requests(scenario, {}, {}, 40_000.1, seed=0)
 
 
 @given(

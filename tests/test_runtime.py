@@ -287,6 +287,12 @@ def test_unknown_policy_is_a_config_error():
         simulate(scenario, stream, hw, costs, policy="fifo")
 
 
+def test_a_stream_of_another_scenario_is_a_config_error():
+    scenario, stream, hw, costs = single_model_setup(rate=2.0, latency_ms=1.0)
+    with pytest.raises(ConfigError, match="^stream was generated for 'x', not 'y'$"):
+        simulate(replace(scenario, id="y"), stream, hw, costs)
+
+
 @pytest.mark.parametrize("policy", ["latency-greedy", "round-robin"])
 def test_a_stream_holding_a_model_the_scenario_does_not_run_is_a_config_error(policy):
     config = builtin_config()

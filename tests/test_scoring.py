@@ -100,6 +100,8 @@ def test_qoe_score_values():
     assert qoe_score(977, 1000) == pytest.approx(0.977)
     with pytest.raises(ScoringError):
         qoe_score(0, 0)
+    with pytest.raises(ScoringError, match=r"^n_processed must be in \[0, n_total\]$"):
+        qoe_score(31, 30)
 
 
 def test_per_inference_score_is_product():
@@ -180,6 +182,14 @@ def test_overall_score_means():
     assert overall_score([1.0, 0.0]) == pytest.approx(0.5)
     assert overall_score([1.0, 0.0], mean="geometric") == 0.0
     assert overall_score([0.4, 0.4], mean="geometric") == pytest.approx(0.4)
+    with pytest.raises(ScoringError, match="^need at least one scenario score$"):
+        overall_score([])
+
+
+@pytest.mark.parametrize("e_max_mj", [0.0, -1.0, math.inf, math.nan])
+def test_the_energy_bound_must_be_finite_and_positive(e_max_mj):
+    with pytest.raises(ScoringError, match="^e_max_mj must be finite and > 0$"):
+        ScoringConfig(e_max_mj=e_max_mj)
 
 
 def test_scores_reduce_to_qoe_when_everything_else_is_perfect():

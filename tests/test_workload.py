@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -186,3 +186,37 @@ def test_with_edge_probability():
     assert edge.trigger_probability == 0.25
     with pytest.raises(ConfigError):
         with_edge_probability(vr, "KD", "SR", 0.5)
+
+
+def test_with_edge_probability_changes_that_edge_alone_and_names_a_missing_edge_first():
+    vr = builtin_suite().scenario("vr-gaming")
+    swept = with_edge_probability(vr, "ES", "GE", 0.25)
+    assert [replace(e, dependencies=()) for e in swept.entries] == [replace(e, dependencies=()) for e in vr.entries]
+    assert with_edge_probability(swept, "ES", "GE", 1.0) == vr
+    with pytest.raises(ConfigError, match="^scenario 'vr-gaming' has no edge KD->SR$"):
+        with_edge_probability(vr, "KD", "SR", 1.5)
+    with pytest.raises(ConfigError, match=r"^edge ES->GE: trigger_probability must be in \[0,1\]$"):
+        with_edge_probability(vr, "ES", "GE", 1.5)
+
+
+@dataclass(frozen=True, slots=True)
+class _TaggedEntry(ScenarioEntry):
+    tag: str = ""
+
+
+@dataclass(frozen=True, slots=True)
+class _TaggedScenario(UsageScenario):
+    tag: str = ""
+
+
+def test_with_edge_probability_keeps_every_field_of_the_records_it_copies():
+    vr = builtin_suite().scenario("vr-gaming")
+    entries = tuple(_TaggedEntry(e.model, e.target_rate, e.dependencies, tag=e.model.lower()) for e in vr.entries)
+    swept = with_edge_probability(_TaggedScenario(vr.id, entries, tag="t"), "ES", "GE", 0.25)
+    assert swept.tag == "t" and [e.tag for e in swept.entries] == ["ht", "es", "ge"]
+    assert _entry(swept, "GE").dependencies[0].trigger_probability == 0.25
+
+
+def test_an_entry_edge_with_another_downstream_is_a_config_error():
+    with pytest.raises(ConfigError, match="^scenario entry 'GE': edge ES->HT has a different downstream$"):
+        ScenarioEntry("GE", 60.0, (DependencyEdge("ES", "HT"),))

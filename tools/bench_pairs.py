@@ -89,11 +89,8 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be at least {MIN_PAIRS}")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, root in roots.items():
-        caches = bench_record.bytecode_caches(root)
-        if caches:
-            names = ", ".join(str(p.relative_to(root)) for p in caches)
-            print(f"refusing the {side} checkout {root}, whose bytecode caches would lower setup_s: remove {names}",
-                  file=sys.stderr)
+        refusal = f"refusing the {side} checkout {root}, whose bytecode caches would lower setup_s"
+        if bench_record.refuse_cached(root, refusal):
             return 2
 
     metrics = read_metrics(roots["change"])

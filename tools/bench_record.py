@@ -4,15 +4,15 @@ Usage (from the repository root):
 
     python3 tools/bench_record.py --pr 9
 
-For each perfbench workload, this runs `perfbench/run.py` in a subprocess,
-one run at a time, each for `BENCHMARK.json`'s `run_seconds` (25): untraced
-once for each seed in SEEDS, then once traced at seed 7. The seed-7 untraced
-run gives the output digest, which CI pins at that seed. Every run starts
-without mmtsim's bytecode cache: the collector refuses a checkout whose
-`src/` or `perfbench/` holds a `__pycache__` directory, and runs with
-`PYTHONDONTWRITEBYTECODE=1` and no `PYTHONPYCACHEPREFIX`, so each run
-compiles mmtsim and perfbench from source and writes no cache, while the
-standard library loads from its own caches.
+For each workload that `BENCHMARK.json` names, this runs `perfbench/run.py`
+in a subprocess, one run at a time, each for that file's `run_seconds` (25):
+untraced once for each seed in SEEDS, then once traced at seed 7. The
+seed-7 untraced run gives the output digest, which CI pins at that seed.
+Every run starts without mmtsim's bytecode cache: the collector refuses a
+checkout whose `src/` or `perfbench/` holds a `__pycache__` directory, and
+runs with `PYTHONDONTWRITEBYTECODE=1` and no `PYTHONPYCACHEPREFIX`, so each
+run compiles mmtsim and perfbench from source and writes no cache, while
+the standard library loads from its own caches.
 So neither `setup_s` nor `peak_rss_mib` depends on what the checkout or an
 earlier run left. It writes `BENCH_<pr>.json` at the repository root with,
 per workload:
@@ -40,17 +40,23 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("suite-cli", "preset-sweep", "fuzz-pipelines")
-SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
+SECONDS = BENCHMARK["run_seconds"]
 SEEDS = (7, 8, 9, 10, 11)
 DIGEST_SEED = 7
 NO_BYTECODE_CACHE = {"PYTHONDONTWRITEBYTECODE": "1"}
 CACHE_FREE = ("src", "perfbench")  # directories that must hold no __pycache__
 
 
-def bytecode_caches(root: Path) -> list[Path]:
-    """The `__pycache__` directories under the checkout's CACHE_FREE directories."""
-    return sorted(p for d in CACHE_FREE for p in (root / d).rglob("__pycache__"))
+def refuse_cached(root: Path, refusal: str) -> bool:
+    """Whether the checkout `root` holds a `__pycache__` directory under its
+    CACHE_FREE directories; if so, print `refusal` and the caches to remove."""
+    caches = sorted(p for d in CACHE_FREE for p in (root / d).rglob("__pycache__"))
+    if caches:
+        names = ", ".join(str(p.relative_to(root)) for p in caches)
+        print(f"{refusal}: remove {names}", file=sys.stderr)
+    return bool(caches)
 
 
 def run_perfbench(workload: str, seed: int, trace: int, root: Path | None = None) -> str:
@@ -116,10 +122,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name BENCH_<pr>.json")
     args = parser.parse_args(argv)
-    caches = bytecode_caches(ROOT)
-    if caches:
-        names = ", ".join(str(p.relative_to(ROOT)) for p in caches)
-        print(f"refusing a checkout with bytecode caches, which would lower setup_s: remove {names}", file=sys.stderr)
+    if refuse_cached(ROOT, "refusing a checkout with bytecode caches, which would lower setup_s"):
         return 2
     doc = {
         "pr": args.pr,
