@@ -849,5 +849,5 @@ def test_a_bad_option_is_one_error_line_before_any_request_is_built(tmp_path, ca
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []  # run writes nothing, not even its directory
-    assert argv[0] != "run" or not (tmp_path / "o").exists()
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+    assert argv[0] != "run" or not (tmp_path / "o").exists()  # run makes not even its directory

@@ -186,11 +186,6 @@ def test_with_edge_probability():
     assert edge.trigger_probability == 0.25
     with pytest.raises(ConfigError):
         with_edge_probability(vr, "KD", "SR", 0.5)
-
-
-def test_with_edge_probability_changes_that_edge_alone_and_names_a_missing_edge_first():
-    vr = builtin_suite().scenario("vr-gaming")
-    swept = with_edge_probability(vr, "ES", "GE", 0.25)
     assert [replace(e, dependencies=()) for e in swept.entries] == [replace(e, dependencies=()) for e in vr.entries]
     assert with_edge_probability(swept, "ES", "GE", 1.0) == vr
     with pytest.raises(ConfigError, match="^scenario 'vr-gaming' has no edge KD->SR$"):
