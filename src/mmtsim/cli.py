@@ -88,8 +88,12 @@ def _resolved_config_obj(args, hw, cfg) -> dict:
     }
 
 
-def _simulate_scenario(scenario, config, hw, table, args) -> runtime.EventLog:
-    stream = loadgen.generate_requests(scenario, config.sources, config.models, args.duration, args.seed)
+def _simulate_scenario(scenario, config, hw, table, args, arrivals: dict) -> runtime.EventLog:
+    """Generate and simulate one scenario; `arrivals` is the map of source
+    arrivals that every scenario of one command shares."""
+    stream = loadgen.generate_requests(
+        scenario, config.sources, config.models, args.duration, args.seed, arrivals=arrivals
+    )
     return runtime.simulate(scenario, stream, hw, table, policy=args.policy)
 
 
@@ -131,9 +135,9 @@ def cmd_run(args) -> int:
 
     # One scenario at a time: its log is dropped once written and scored, so
     # memory is bounded by the largest scenario, not the suite.
-    reports = {}
+    reports, arrivals = {}, {}
     for scenario in scenarios:
-        log = _simulate_scenario(scenario, config, hw, table, args)
+        log = _simulate_scenario(scenario, config, hw, table, args, arrivals)
         _write_scenario_outputs(out, scenario.id, log)
         reports[scenario.id] = scoring.scenario_report(log, scenario, config.models, cfg)
         del log
@@ -174,13 +178,13 @@ def cmd_sweep(args) -> int:
     table = _load_costs(args, config, hw)
     cfg = scoring.ScoringConfig(k=args.k, e_max_mj=table.e_max_mj)
     base = config.suite.scenario(args.scenario)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     # The points differ only in one edge's probability, which the request
     # stream does not depend on: generate it once and simulate it at each.
     scenarios = [workload.with_edge_probability(base, upstream, downstream, p) for p in values]
     stream = loadgen.generate_requests(scenarios[0], config.sources, config.models, args.duration, args.seed)
+    out = Path(args.out)  # made only once every value, the edge and the window have passed
+    out.mkdir(parents=True, exist_ok=True)
     rows = ["probability,rt_mean,en_mean,qoe,n_processed,scenario_score"]
     for p, scenario in zip(values, scenarios):
         log = runtime.simulate(scenario, stream, hw, table, policy=args.policy)
@@ -212,10 +216,11 @@ def cmd_validate(args) -> int:
     if args.hw or args.costs or args.synthetic:
         hw = _load_hardware(args)
         table = _load_costs(args, config, hw)
+        arrivals: dict = {}
         for scenario in scenarios:
             if invalid[scenario.id]:
                 continue  # an invalid scenario may not simulate at all
-            log = _simulate_scenario(scenario, config, hw, table, args)
+            log = _simulate_scenario(scenario, config, hw, table, args, arrivals)
             violations += [f"{scenario.id}: {v}" for v in runtime.validate_schedule(log, scenario)]
     for v in violations:
         print(v)

@@ -3,8 +3,8 @@
 Time is carried as integer microsecond ticks so that identical inputs
 always give bit-identical streams; the timeline CSV gives it in milliseconds.
 A stream is built column-wise: each source's arrivals, for every frame some
-model samples, come in one batch, whose variates hash the keyed prefix
-"{seed}|{source}|" once and each frame on from a copy. Within a call, models
+model samples and the `arrivals` map lacks, come in one batch, whose variates
+hash the keyed prefix "{seed}|{source}|" once and each frame on from a copy. Within a call, models
 with equal (target rate, source rate, count) share one frame list, and with
 equal (init µs, target rate, count) one deadline list; frames 0..n-1 are
 their own request indices. So an equal value is one object, not one per model.
@@ -60,12 +60,12 @@ def jitter_offsets(source: InputSource, frames: Sequence[int], seed: int) -> lis
     (sigma 1/6, clamped to [0, 1]), scaled to the jitter bound."""
     if source.max_jitter == 0.0:
         return [0.0] * len(frames)
-    scale = source.max_jitter * 2.0
+    scale, inv_cdf = source.max_jitter * 2.0, _NORMAL.inv_cdf
     offsets = []
     for u in det_rands(seed, source.id, frames):
-        u = min(max(u, 1e-12), 1.0 - 1e-12)
-        g = 0.5 + _JITTER_SIGMA * _NORMAL.inv_cdf(u)
-        g = min(max(g, 0.0), 1.0)
+        u = 1e-12 if u < 1e-12 else 1.0 - 1e-12 if u > 1.0 - 1e-12 else u
+        g = 0.5 + _JITTER_SIGMA * inv_cdf(u)
+        g = 0.0 if g < 0.0 else 1.0 if g > 1.0 else g
         offsets.append(scale * (g - 0.5))
     return offsets
 
@@ -175,12 +175,20 @@ def generate_requests(
     models: Mapping[str, UnitModel],
     duration: float,
     seed: int,
+    *,
+    arrivals: dict[tuple[InputSource, int], dict[int, int]] | None = None,
 ) -> RequestStream:
     """Build the jittered request stream for one scenario.
 
     Multi-modal models take the latest arrival over their input sources at
     the aligned frame. Requests near the window end are generated even when
     jitter pushes them past `duration`.
+
+    `arrivals` maps (source record, seed) to {frame: arrival µs}; the call
+    reads it and adds the frames it lacks. An arrival depends only on its
+    key and frame, so one map may serve any calls, on any scenarios and
+    seeds, and hashes each of their frames once. Without it the call uses
+    a map of its own.
     """
     _check_duration(scenario, duration)
     violations = validate_scenario(scenario, sources, models)
@@ -199,15 +207,17 @@ def generate_requests(
         for s in srcs:
             frames_of.setdefault(s.id, set()).update(frames)
         sampled.append((entry, srcs, frames))
-    arrivals: dict[str, dict[int, int]] = {}  # source id -> frame -> arrival
+    if arrivals is None:
+        arrivals = {}
     for sid, frame_set in frames_of.items():
-        frames = sorted(frame_set)
-        arrivals[sid] = dict(zip(frames, _arrivals_us(sources[sid], frames, seed)))
+        known = arrivals.setdefault((sources[sid], seed), {})
+        if frames := sorted(frame_set.difference(known)):
+            known.update(zip(frames, _arrivals_us(sources[sid], frames, seed)))
 
     requests: list[InferenceRequest] = []
     deadline_lists: dict[tuple[int, float, int], list[int]] = {}  # (init µs, target rate, count) -> deadlines
     for entry, srcs, frames in sampled:
-        columns = [map(arrivals[s.id].__getitem__, frames) for s in srcs]
+        columns = [map(arrivals[s, seed].__getitem__, frames) for s in srcs]
         t_req = map(max, *columns) if len(columns) > 1 else columns[0]  # the latest of its sources
         # a model's k-th deadline: k+1 target-rate periods after its init latency; never jittered
         init_us, rate, n = round(max(s.init_latency for s in srcs) * US_PER_MS), entry.target_rate, len(frames)

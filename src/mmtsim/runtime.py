@@ -380,8 +380,23 @@ LOG_CSV_FIELDS = (
 )
 
 
-def _ms(t_us: int | None) -> float | None:
-    return None if t_us is None else t_us / US_PER_MS
+def _csv_rows(log: EventLog) -> Iterator[tuple]:
+    """The timeline's rows in stream order, times in milliseconds. A request
+    time or deadline equal to the previous row's reuses its text, and a start
+    equal to the request time takes the request time's text; the text is the
+    float's repr(), which is what csv writes for a float."""
+    req_us = dl_us = None  # the previous row's request time and deadline, µs
+    req = dl = ""  # and their text
+    for (model, frame, index, t_req, t_dl), unit, t_start, t_end, status, energy in zip(
+        log.requests, log.unit, log.t_start_us, log.t_end_us, log.status, log.energy_mj
+    ):
+        if t_req != req_us:
+            req_us, req = t_req, repr(t_req / US_PER_MS)
+        if t_dl != dl_us:
+            dl_us, dl = t_dl, repr(t_dl / US_PER_MS)
+        start = req if t_start == t_req else None if t_start is None else t_start / US_PER_MS
+        end = None if t_end is None else t_end / US_PER_MS
+        yield model, index, frame, unit, req, start, end, dl, status, energy
 
 
 def log_to_csv(log: EventLog, fh) -> None:
@@ -389,13 +404,7 @@ def log_to_csv(log: EventLog, fh) -> None:
     and None as an empty field."""
     writer = csv.writer(fh)
     writer.writerow(LOG_CSV_FIELDS)
-    writer.writerows(
-        (r.model, r.request_index, r.frame_index, unit, r.t_req_us / US_PER_MS, _ms(t_start), _ms(t_end),
-         r.t_dl_us / US_PER_MS, status, energy)
-        for r, unit, t_start, t_end, status, energy in zip(
-            log.requests, log.unit, log.t_start_us, log.t_end_us, log.status, log.energy_mj
-        )
-    )
+    writer.writerows(_csv_rows(log))
 
 
 def log_from_csv(fh, scenario: str = "") -> EventLog:

@@ -132,3 +132,29 @@ def test_an_incorrect_run_fails_the_comparison(monkeypatch, tmp_path, capsys):
     argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]), "--workload", "preset-sweep"]
     assert bench_pairs.main(argv) == 1
     assert "every run correct with no failed operation: False" in capsys.readouterr().out
+
+
+PARENT_WALLS = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.01, 0.99]  # median 1.0, IQR 0.02
+
+
+@pytest.mark.parametrize(
+    ("change", "holds"),
+    [
+        # 9 of 10 won, the median 0.1 below: the gain holds
+        ([0.90, 0.92, 0.88, 0.91, 0.89, 0.90, 0.93, 0.87, 0.91, 1.05], True),
+        # 8 of 10 won, the median as far below: it does not
+        ([0.90, 0.92, 0.88, 0.91, 0.89, 0.90, 0.93, 0.87, 1.05, 1.05], False),
+        # 10 of 10 won, the median 0.01 below, inside the parent's IQR of 0.02: it does not
+        ([0.99, 1.01, 0.97, 1.00, 0.98, 0.99, 1.02, 0.96, 1.00, 0.98], False),
+    ],
+    ids=["9-of-10", "8-of-10", "within-the-IQR"],
+)
+def test_the_summary_tells_whether_a_gain_holds(monkeypatch, tmp_path, capsys, change, holds):
+    roots = _checkouts(tmp_path)
+    _fake_runs(monkeypatch, {"parent": PARENT_WALLS, "change": change})
+    argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]), "--workload", "suite-cli"]
+    assert bench_pairs.main(argv) == 0
+    lines = {line.split()[1]: line for line in capsys.readouterr().out.splitlines() if line.startswith("suite-cli ")}
+    verdict = f"median better by more than the parent's IQR): {'yes' if holds else 'no'};"
+    assert verdict in lines["wall_s"] and verdict in lines["req_per_s"]  # req_per_s is 100 / wall_s
+

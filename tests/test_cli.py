@@ -50,6 +50,31 @@ def test_run_keeps_at_most_one_event_log_alive(tmp_path, monkeypatch):
     assert alive == [1] * len(builtin_config().suite.scenarios)
 
 
+def test_run_and_validate_share_one_arrivals_map_per_call_and_sweep_none(tmp_path, monkeypatch, capsys):
+    original = loadgen.generate_requests
+    maps = []
+
+    def generate_requests(*args, **kwargs):
+        maps.append(kwargs.get("arrivals"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(loadgen, "generate_requests", generate_requests)
+    n = len(builtin_config().suite.scenarios)
+    sim = ["--hw", "preset:J", "--synthetic", "--duration", "0.5"]
+    for argv in (["run", *sim, "--out", str(tmp_path / "o")], ["validate", *sim]):
+        maps.clear()
+        assert main(argv) == 0
+        assert len(maps) == n and isinstance(maps[0], dict) and all(m is maps[0] for m in maps)
+        kept = maps[0]
+    assert main(["run", *sim, "--out", str(tmp_path / "p")]) == 0
+    assert maps[-1] is not kept  # a fresh map for every call
+    maps.clear()
+    sweep = ["sweep", "--scenario", "vr-gaming", "--edge", "ES->GE", "--values", "0.5"]
+    assert main([*sweep, *sim, "--out", str(tmp_path / "s")]) == 0
+    assert maps == [None]
+    capsys.readouterr()
+
+
 def test_a_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
     def log_to_csv(log, fh):
         fh.write("model,request_index\n")
@@ -253,6 +278,7 @@ def test_unknown_sweep_edge_fails(tmp_path, capsys):
     )
     assert code == 2
     assert "no edge" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_non_numeric_sweep_value_is_a_config_error(tmp_path, capsys):
@@ -273,7 +299,7 @@ def test_out_of_range_sweep_value_fails_before_any_point(tmp_path, capsys):
     )
     assert code == 2
     assert "trigger_probability must be in [0,1]" in capsys.readouterr().err
-    assert list(out.iterdir()) == []  # every value is checked before the one stream is simulated
+    assert not out.exists()  # every value is checked before the one stream is built
 
 
 @pytest.mark.parametrize(
@@ -850,4 +876,4 @@ def test_a_bad_option_is_one_error_line_before_any_request_is_built(tmp_path, ca
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
-    assert argv[0] != "run" or not (tmp_path / "o").exists()  # run makes not even its directory
+    assert not (tmp_path / "o").exists()  # run and sweep make not even their directory

@@ -1,4 +1,5 @@
 import pickle
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmtsim import ConfigError, InputSource, ScenarioEntry, UnitModel, UsageScenario, simulate, synthetic_table
+from mmtsim import loadgen
 from mmtsim.costmodel import preset_system
 from mmtsim.loadgen import (
     MAX_REQUESTS,
@@ -19,6 +21,7 @@ from mmtsim.loadgen import (
 )
 from mmtsim.workload import builtin_config
 
+from fuzzing import random_setup
 from jitter import jitter_offset
 
 
@@ -253,3 +256,93 @@ def test_models_with_equal_rates_share_their_frame_and_deadline_objects():
         # 30 Hz, on the camera alone and on the camera and the 60 FPS lidar, both from 0 ms
         assert ht.frame_index is dr.frame_index and ht.t_dl_us is dr.t_dl_us
         assert ht.request_index == k != ht.frame_index
+
+
+def test_one_arrivals_map_through_the_suite_gives_the_fresh_streams_in_either_order():
+    config = builtin_config()
+    scenarios = list(config.suite.scenarios)
+    fresh = {s.id: generate_requests(s, config.sources, config.models, 10.0, seed=7) for s in scenarios}
+    for order in (scenarios, scenarios[::-1]):
+        arrivals = {}
+        for s in order:
+            assert generate_requests(s, config.sources, config.models, 10.0, seed=7, arrivals=arrivals) == fresh[s.id]
+        assert {key[1] for key in arrivals} == {7}
+        assert {key[0] for key in arrivals} == set(config.sources.values())
+
+
+def test_one_arrivals_map_through_fuzzed_setups_gives_the_fresh_streams():
+    # several sources, rates, init latencies and jitter up to 0.49 of a period;
+    # the setups reuse the ids src0..src2, some with the same record and seed
+    # and other frames, some with another record
+    rng = random.Random(1313)
+    arrivals = {}
+    for i in range(80):
+        scenario, sources, models, _, _ = random_setup(rng)
+        sources = {
+            sid: replace(s, max_jitter=rng.choice([0.0, 0.25, 0.49]) * 1000 / s.streaming_rate)
+            for sid, s in sources.items()
+        }
+        seed = i % 2
+        shared = generate_requests(scenario, sources, models, 0.5, seed=seed, arrivals=arrivals)
+        assert shared == generate_requests(scenario, sources, models, 0.5, seed=seed)
+    assert len(arrivals) < 80  # keys were shared
+
+
+def test_a_later_call_adds_the_frames_the_map_lacks():
+    rates = (15.0, 45.0, 60.0)  # every 4th frame, then 3 of every 4, then all
+    models = {"X": UnitModel(id="X", task_tag="t", input_sources=("camera",))}
+    arrivals = {}
+    for rate in rates:
+        scenario = UsageScenario(id="s", entries=(ScenarioEntry(model="X", target_rate=rate),))
+        shared = generate_requests(scenario, {"camera": CAMERA}, models, 1.0, seed=3, arrivals=arrivals)
+        assert shared == generate_requests(scenario, {"camera": CAMERA}, models, 1.0, seed=3)
+    assert sorted(arrivals[CAMERA, 3]) == list(range(60))
+
+
+def _camera_scenario():
+    models = {"X": UnitModel(id="X", task_tag="t", input_sources=("camera",))}
+    return UsageScenario(id="s", entries=(ScenarioEntry(model="X", target_rate=60.0),)), models
+
+
+def test_a_map_shared_across_seeds_gives_each_seed_its_own_arrivals():
+    scenario, models = _camera_scenario()
+    arrivals = {}
+    one = generate_requests(scenario, {"camera": CAMERA}, models, 1.0, seed=1, arrivals=arrivals)
+    two = generate_requests(scenario, {"camera": CAMERA}, models, 1.0, seed=2, arrivals=arrivals)
+    assert one == generate_requests(scenario, {"camera": CAMERA}, models, 1.0, seed=1)
+    assert two == generate_requests(scenario, {"camera": CAMERA}, models, 1.0, seed=2)
+    assert one.requests != two.requests
+    assert set(arrivals) == {(CAMERA, 1), (CAMERA, 2)}
+
+
+def test_a_map_shared_across_records_of_one_source_id_gives_each_its_own_arrivals():
+    scenario, models = _camera_scenario()
+    wider = replace(CAMERA, max_jitter=4.0)
+    arrivals = {}
+    calm = generate_requests(scenario, {"camera": CAMERA}, models, 1.0, seed=1, arrivals=arrivals)
+    wild = generate_requests(scenario, {"camera": wider}, models, 1.0, seed=1, arrivals=arrivals)
+    assert calm == generate_requests(scenario, {"camera": CAMERA}, models, 1.0, seed=1)
+    assert wild == generate_requests(scenario, {"camera": wider}, models, 1.0, seed=1)
+    assert calm.requests != wild.requests
+    assert set(arrivals) == {(CAMERA, 1), (wider, 1)}
+
+
+def test_a_shared_map_hashes_each_source_frame_once(monkeypatch):
+    config = builtin_config()
+    hashed = Counter()
+    arrivals_us = loadgen._arrivals_us
+
+    def counting(source, frames, seed):
+        hashed.update((source, seed, f) for f in frames)
+        return arrivals_us(source, frames, seed)
+
+    monkeypatch.setattr(loadgen, "_arrivals_us", counting)
+    arrivals = {}
+    for s in config.suite.scenarios:
+        generate_requests(s, config.sources, config.models, 5.0, seed=7, arrivals=arrivals)
+    assert set(hashed.values()) == {1}
+    assert len(hashed) == sum(map(len, arrivals.values()))
+    hashed.clear()
+    for s in config.suite.scenarios:  # without a map, each call hashes its own
+        generate_requests(s, config.sources, config.models, 5.0, seed=7)
+    assert max(hashed.values()) > 1

@@ -16,8 +16,11 @@ directory is refused, and each run has `PYTHONDONTWRITEBYTECODE=1`.
 For each end-to-end metric of `BENCHMARK.json`, it prints the medians and
 interquartile ranges of both sides, the change in the median, how many
 pairs the change won, whether the medians differ by more than the
-parent's interquartile range, and whether the change's median is worse than
-the parent's by more than the metric's relative `bound`. It exits with code
+parent's interquartile range, whether a gain holds, and whether the change's
+median is worse than the parent's by more than the metric's relative `bound`.
+A gain holds when the change won at least nine tenths of the pairs and its
+median is better than the parent's by more than the parent's interquartile
+range: the rule a claimed gain must meet. It exits with code
 1 if any run was not correct or failed an operation.
 """
 
@@ -33,6 +36,7 @@ import bench_record
 
 SIDES = ("parent", "change")
 MIN_PAIRS = 10  # the fewest pairs that can back a claimed gain
+GAIN_WINS = 0.9  # the share of the pairs a claimed gain must win
 
 
 def pair_order(i: int) -> tuple[str, str]:
@@ -48,7 +52,8 @@ def read_metrics(root: Path) -> dict[str, tuple[str, float]]:
 
 def compare(values: dict[str, list[float]], better: str, bound: float) -> dict:
     """Medians, interquartile ranges and the change's wins over the pairs of one
-    metric, and whether its median is worse than the parent's by more than `bound`."""
+    metric, whether a gain holds, and whether its median is worse than the
+    parent's by more than `bound`."""
     parent, change = values["parent"], values["change"]
     stats = {}
     for side in SIDES:
@@ -57,11 +62,14 @@ def compare(values: dict[str, list[float]], better: str, bound: float) -> dict:
     wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
     gap = stats["change"]["median"] - stats["parent"]["median"]
     relative = gap / stats["parent"]["median"]
+    beyond_parent_iqr = abs(gap) > stats["parent"]["iqr"]
+    better_median = gap < 0 if better == "lower" else gap > 0
     return {
         **stats,
         "relative": relative,
         "wins": wins,
-        "beyond_parent_iqr": abs(gap) > stats["parent"]["iqr"],
+        "beyond_parent_iqr": beyond_parent_iqr,
+        "gain_holds": wins >= GAIN_WINS * len(parent) and beyond_parent_iqr and better_median,
         "beyond_bound": (relative if better == "lower" else -relative) > bound,
     }
 
@@ -73,6 +81,8 @@ def report_line(workload: str, name: str, unit: str, better: str, bound: float, 
         f"{workload} {name} ({unit}, {better} is better): parent {p['median']:.6g} [IQR {p['iqr']:.3g}]"
         f" -> change {ch['median']:.6g} [IQR {ch['iqr']:.3g}], {c['relative']:+.1%};"
         f" the change won {c['wins']} of {pairs}; the medians differ by {beyond} than the parent's IQR;"
+        f" a gain holds (won at least {GAIN_WINS:.0%} of the pairs, median better by more than the parent's IQR):"
+        f" {'yes' if c['gain_holds'] else 'no'};"
         f" worse than the parent by more than the {bound:.0%} bound: {'yes' if c['beyond_bound'] else 'no'}"
     )
 
