@@ -1,7 +1,9 @@
 """Command-line entry point: single runs, sweeps, validation, re-scoring.
 
-Every emitted file carries a schema_version and the fully resolved run
-configuration so results can be reproduced from the outputs alone.
+Each JSON file written carries a schema_version; the CSV and text files do
+not. Only run's report.json carries the resolved run configuration
+(run_config). A log_*.json carries the scenario, the hardware id, the seed
+and the duration, and sweep's files carry no run configuration.
 """
 
 from __future__ import annotations

@@ -8,11 +8,12 @@ roofline-style synthetic generator below.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ConfigError
-from .workload import SCHEMA_VERSION, UnitModel, check_id, json_number, load_json_file
+from .workload import SCHEMA_VERSION, UnitModel, check_id, check_keys, json_number, load_json_file
+from .workload import record_to_obj, records_from_obj
 
 FDA = "FDA"
 SFDA = "SFDA"
@@ -202,31 +203,15 @@ def preset_system(preset: str, total_pes: int = 4096) -> HardwareSystem:
 
 
 def system_to_obj(system: HardwareSystem) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "id": system.id,
-        "style": system.style,
-        "units": [asdict(u) for u in system.units],
-    }
+    return {"schema_version": SCHEMA_VERSION, **record_to_obj(system)}
 
 
 def system_from_obj(obj: Mapping) -> HardwareSystem:
     try:
-        return HardwareSystem(
-            id=obj["id"],
-            style=obj["style"],
-            units=tuple(
-                HardwareUnit(
-                    id=u["id"],
-                    dataflow=u["dataflow"],
-                    pe_count=u["pe_count"],
-                    clock_ghz=json_number(u, "clock_ghz", 1.0),
-                    power_watts=json_number(u, "power_watts", 1.0),
-                )
-                for u in obj["units"]
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        check_keys(obj, "hardware file", ("schema_version", "id", "style", "units"))
+        units = records_from_obj(HardwareUnit, obj["units"], "units")
+        return HardwareSystem(id=obj["id"], style=obj["style"], units=units)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: `.keys()` on a non-object
         raise ConfigError(f"malformed hardware file: {exc}") from exc
 
 
@@ -238,23 +223,15 @@ def table_to_obj(table: CostTable) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "e_max_mj": table.e_max_mj,
-        "entries": [asdict(e) for e in table.entries()],
+        "entries": [record_to_obj(e) for e in table.entries()],
     }
 
 
 def table_from_obj(obj: Mapping) -> CostTable:
     try:
-        entries = [
-            CostEntry(
-                model=e["model"],
-                unit=e["unit"],
-                latency_ms=json_number(e, "latency_ms"),
-                energy_mj=json_number(e, "energy_mj"),
-            )
-            for e in obj["entries"]
-        ]
-        return CostTable(entries, e_max_mj=json_number(obj, "e_max_mj"))
-    except (KeyError, TypeError, ValueError) as exc:
+        check_keys(obj, "cost file", ("schema_version", "e_max_mj", "entries"))
+        return CostTable(records_from_obj(CostEntry, obj["entries"], "entries"), e_max_mj=json_number(obj, "e_max_mj"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: `.keys()` on a non-object
         raise ConfigError(f"malformed cost table: {exc}") from exc
 
 

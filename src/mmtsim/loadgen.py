@@ -188,8 +188,10 @@ def generate_requests(
     reads it and adds the frames it lacks. An arrival depends only on its
     key and frame, so one map may serve any calls, on any scenarios and
     seeds, and hashes each of their frames once. Without it the call uses
-    a map of its own.
+    a map of its own. A seed that is not an int (a bool included) is a ConfigError.
     """
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed must be an integer, not {seed!r}")
     _check_duration(scenario, duration)
     violations = validate_scenario(scenario, sources, models)
     if violations:

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import ConfigError
 
@@ -26,12 +26,10 @@ def check_id(kind: str, value) -> None:
         raise ConfigError(f"{kind} id must be a string, not {value!r}")
 
 
-def json_number(obj: Mapping, key: str, default: float | None = None) -> float:
-    """`obj[key]` as a float, or `default` when one is given and the key is
-    absent. The value must be a JSON number (an int or a float, not a bool);
-    anything else raises a TypeError naming the key, which each file parser
-    reports as malformed."""
-    value = obj[key] if default is None else obj.get(key, default)
+def json_number(obj: Mapping, key: str) -> float:
+    """`obj[key]` as a float. A value that is not a JSON number (an int or a float, not a bool)
+    raises a TypeError naming the key, which each file parser reports as malformed."""
+    value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{key} must be a number, not {value!r}")
     try:
@@ -72,7 +70,7 @@ class UnitModel:
     """
 
     id: str
-    task_tag: str
+    task_tag: str = field(default="", kw_only=True)  # a file may omit it; keyword-only to precede input_sources
     input_sources: tuple[str, ...]
     dataset_tag: str = ""
     accuracy_metric_id: str = ""
@@ -366,91 +364,86 @@ def with_edge_probability(
     return replace(scenario, entries=tuple(entries))
 
 
-# --- Suite specification files --------------------------------------------
+# --- Suite, hardware and cost files ---------------------------------------
+#
+# A record is a JSON object with a key per field of its dataclass, in field
+# order; an absent key takes the field's default. The table holds the rest.
+# A number field is read with json_number, and takes null too when its
+# default is None.
+
+FILE_KEYS = {"init_latency": "init_latency_ms", "max_jitter": "max_jitter_ms"}  # field -> key, where they differ
+NUMBER_FIELDS = frozenset({"streaming_rate", "init_latency", "max_jitter", "reported_metric", "flops", "target_rate",
+                           "trigger_probability", "clock_ghz", "power_watts", "latency_ms", "energy_mj"})
+RECORD_LISTS = {"dependencies": DependencyEdge, "entries": ScenarioEntry}  # a list field's records, below the top level
+IMPLIED = {"downstream": "model"}  # an edge's downstream is its entry's model: filled in when read, never written
+RETIRED_KEYS = frozenset({"kind", "accuracy_requirement", "bandwidth_gbps", "shared_mem_mib"})  # read and ignored
+
+
+def record_to_obj(value):
+    """`value` as a file writes it: a record as an object with a key per field, a tuple as a list."""
+    if is_dataclass(value):
+        return {FILE_KEYS.get(f.name, f.name): record_to_obj(getattr(value, f.name))
+                for f in fields(value) if f.name not in IMPLIED}
+    return [record_to_obj(v) for v in value] if isinstance(value, tuple) else value
+
+
+def check_keys(obj: Mapping, where: str, keys: Collection[str]) -> None:
+    """A ConfigError for the first key of `obj`, found at `where`, that is neither one of `keys` nor
+    retired, or for a schema_version other than SCHEMA_VERSION; a file without one is version 1."""
+    for key in obj.keys():  # an AttributeError on a non-object, which each file parser reports as malformed
+        if key not in keys and key not in RETIRED_KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r} (expected one of {', '.join(keys)})")
+    if obj.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:  # only a file's top level allows the key
+        raise ConfigError(f"{where}: schema_version must be {SCHEMA_VERSION!r}, not {obj['schema_version']!r}")
+
+
+def records_from_obj(cls, items, where: str, outer: Mapping | None = None) -> tuple:
+    """Each of the file objects `items`, found at `where`, read as a `cls`."""
+    return tuple(record_from_obj(cls, item, f"{where}[{i}]", outer) for i, item in enumerate(items))
+
+
+def record_from_obj(cls, obj: Mapping, where: str, outer: Mapping | None = None):
+    """A `cls` read from the file object `obj`, found at `where`; a missing required key is a ConfigError.
+    The implied fields copy their values from `outer`, the fields read so far of the enclosing record."""
+    keys = {FILE_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name not in IMPLIED}
+    check_keys(obj, where, keys)
+    values = {f.name: outer[IMPLIED[f.name]] for f in fields(cls) if f.name in IMPLIED}
+    for key, f in keys.items():
+        if key not in obj:
+            if f.default is MISSING:
+                raise ConfigError(f"{where}: missing key {key!r}")
+            continue
+        value = obj[key]
+        if f.name in RECORD_LISTS:
+            value = records_from_obj(RECORD_LISTS[f.name], value, f"{where}.{key}", values)
+        elif f.type.startswith("tuple"):  # a tuple of ids; `f.type` is the annotation's text
+            value = tuple(value)
+        elif f.name in NUMBER_FIELDS and not (value is None and f.default is None):
+            value = json_number(obj, key)
+        values[f.name] = value
+    return cls(**values)
 
 
 def config_to_obj(config: SuiteConfig) -> dict:
     """Serialize a SuiteConfig to the JSON-compatible suite file schema."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "input_sources": [
-            {
-                "id": s.id,
-                "streaming_rate": s.streaming_rate,
-                "init_latency_ms": s.init_latency,
-                "max_jitter_ms": s.max_jitter,
-            }
-            for s in config.sources.values()
-        ],
-        "models": [{**asdict(m), "input_sources": list(m.input_sources)} for m in config.models.values()],
-        "scenarios": [
-            {
-                "id": s.id,
-                "entries": [
-                    {
-                        "model": e.model,
-                        "target_rate": e.target_rate,
-                        "dependencies": [
-                            {
-                                "upstream": d.upstream,
-                                "trigger_probability": d.trigger_probability,
-                            }
-                            for d in e.dependencies
-                        ],
-                    }
-                    for e in s.entries
-                ],
-            }
-            for s in config.suite.scenarios
-        ],
+        "input_sources": [record_to_obj(s) for s in config.sources.values()],
+        "models": [record_to_obj(m) for m in config.models.values()],
+        "scenarios": [record_to_obj(s) for s in config.suite.scenarios],
     }
 
 
 def config_from_obj(obj: Mapping) -> SuiteConfig:
     """Parse the suite file schema back into a SuiteConfig."""
     try:
-        sources = {
-            s["id"]: InputSource(
-                id=s["id"],
-                streaming_rate=json_number(s, "streaming_rate"),
-                init_latency=json_number(s, "init_latency_ms", 0.0),
-                max_jitter=json_number(s, "max_jitter_ms", 0.0),
-            )
-            for s in obj["input_sources"]
-        }
-        models = {
-            m["id"]: UnitModel(
-                id=m["id"],
-                task_tag=m.get("task_tag", ""),
-                input_sources=tuple(m["input_sources"]),
-                dataset_tag=m.get("dataset_tag", ""),
-                accuracy_metric_id=m.get("accuracy_metric_id", ""),
-                reported_metric=json_number(m, "reported_metric", 1.0),
-                metric_direction=m.get("metric_direction", HIGHER_IS_BETTER),
-                achieved_metric=m.get("achieved_metric"),
-                flops=None if m.get("flops") is None else json_number(m, "flops"),
-            )
-            for m in obj["models"]
-        }
-        scenarios = []
-        for s in obj["scenarios"]:
-            entries = []
-            for e in s["entries"]:
-                deps = tuple(
-                    DependencyEdge(
-                        upstream=d["upstream"],
-                        downstream=e["model"],
-                        trigger_probability=json_number(d, "trigger_probability", 1.0),
-                    )
-                    for d in e.get("dependencies", ())
-                )
-                entries.append(
-                    ScenarioEntry(model=e["model"], target_rate=json_number(e, "target_rate"), dependencies=deps)
-                )
-            scenarios.append(UsageScenario(id=s["id"], entries=tuple(entries)))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: `.get` on a non-object
+        check_keys(obj, "suite file", ("schema_version", "input_sources", "models", "scenarios"))
+        sources = {s.id: s for s in records_from_obj(InputSource, obj["input_sources"], "input_sources")}
+        models = {m.id: m for m in records_from_obj(UnitModel, obj["models"], "models")}
+        scenarios = records_from_obj(UsageScenario, obj["scenarios"], "scenarios")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: `.keys()` on a non-object
         raise ConfigError(f"malformed suite specification: {exc}") from exc
-    return SuiteConfig(sources=sources, models=models, suite=BenchmarkSuite(scenarios=tuple(scenarios)))
+    return SuiteConfig(sources=sources, models=models, suite=BenchmarkSuite(scenarios=scenarios))
 
 
 def open_text_file(path, newline=None):

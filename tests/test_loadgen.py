@@ -346,3 +346,17 @@ def test_a_shared_map_hashes_each_source_frame_once(monkeypatch):
     for s in config.suite.scenarios:  # without a map, each call hashes its own
         generate_requests(s, config.sources, config.models, 5.0, seed=7)
     assert max(hashed.values()) > 1
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.0, "1", None], ids=["true", "false", "float", "str", "none"])
+def test_a_seed_that_is_not_an_int_is_a_config_error(seed):
+    # an arrivals map is keyed on the seed's value and the jitter hashes its
+    # text, so True after 1 on one map would return the seed-1 stream
+    scenario, models = _camera_scenario()
+    arrivals = {}
+    generate_requests(scenario, {"camera": CAMERA}, models, 1.0, seed=1, arrivals=arrivals)
+    with pytest.raises(ConfigError, match=rf"^seed must be an integer, not {seed!r}$"):
+        generate_requests(scenario, {"camera": CAMERA}, models, 1.0, seed=seed, arrivals=arrivals)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        generate_requests(scenario, {"camera": CAMERA}, models, 1.0, seed=seed)
+    assert set(arrivals) == {(CAMERA, 1)}
