@@ -2,12 +2,11 @@
 
 Time is carried as integer microsecond ticks so that identical inputs
 always give bit-identical streams; the timeline CSV gives it in milliseconds.
-A stream is built column-wise: each source's arrivals, for every frame some
-model samples and the `arrivals` map lacks, come in one batch, whose variates
-hash the keyed prefix "{seed}|{source}|" once and each frame on from a copy. Within a call, models
-with equal (target rate, source rate, count) share one frame list, and with
-equal (init µs, target rate, count) one deadline list; frames 0..n-1 are
-their own request indices. So an equal value is one object, not one per model.
+A stream is built column-wise, one model at a time: each of its sources first
+gets the arrivals the `arrivals` map lacks for the model's frames. Within a
+call, models with equal (target rate, source rate, count) share one frame list,
+and with equal (init µs, target rate, count) one deadline list; frames 0..n-1
+are their own request indices. So an equal value is one object, not one per model.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from statistics import NormalDist
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError
-from .workload import InputSource, ScenarioEntry, UnitModel, UsageScenario, validate_scenario
+from .workload import InputSource, UnitModel, UsageScenario, validate_scenario
 
 US_PER_MS = 1000
 US_PER_S = 1_000_000
@@ -197,29 +196,22 @@ def generate_requests(
     if violations:
         raise ConfigError(f"invalid scenario {scenario.id!r}: " + "; ".join(violations))
 
-    # Every frame some model samples, per source; then each source's arrivals in one batch.
-    sampled: list[tuple[ScenarioEntry, list[InputSource], list[int]]] = []  # (entry, its sources, its frames)
+    if arrivals is None:
+        arrivals = {}
+    requests: list[InferenceRequest] = []
     frame_lists: dict[tuple[float, float, int], list[int]] = {}  # (target rate, source rate, count) -> frames
-    frames_of: dict[str, set[int]] = {}
+    deadline_lists: dict[tuple[int, float, int], list[int]] = {}  # (init µs, target rate, count) -> deadlines
     for entry in scenario.entries:
         srcs = [sources[sid] for sid in models[entry.model].input_sources]
         key = (entry.target_rate, min(s.streaming_rate for s in srcs), target_count(entry.target_rate, duration))
         if (frames := frame_lists.get(key)) is None:
             frames = frame_lists[key] = select_frames(*key)
+        columns = []
         for s in srcs:
-            frames_of.setdefault(s.id, set()).update(frames)
-        sampled.append((entry, srcs, frames))
-    if arrivals is None:
-        arrivals = {}
-    for sid, frame_set in frames_of.items():
-        known = arrivals.setdefault((sources[sid], seed), {})
-        if frames := sorted(frame_set.difference(known)):
-            known.update(zip(frames, _arrivals_us(sources[sid], frames, seed)))
-
-    requests: list[InferenceRequest] = []
-    deadline_lists: dict[tuple[int, float, int], list[int]] = {}  # (init µs, target rate, count) -> deadlines
-    for entry, srcs, frames in sampled:
-        columns = [map(arrivals[s, seed].__getitem__, frames) for s in srcs]
+            known = arrivals.setdefault((s, seed), {})
+            if missing := [f for f in frames if f not in known]:
+                known.update(zip(missing, _arrivals_us(s, missing, seed)))
+            columns.append(map(known.__getitem__, frames))
         t_req = map(max, *columns) if len(columns) > 1 else columns[0]  # the latest of its sources
         # a model's k-th deadline: k+1 target-rate periods after its init latency; never jittered
         init_us, rate, n = round(max(s.init_latency for s in srcs) * US_PER_MS), entry.target_rate, len(frames)
