@@ -208,10 +208,11 @@ def system_to_obj(system: HardwareSystem) -> dict:
 
 def system_from_obj(obj: Mapping) -> HardwareSystem:
     try:
-        check_keys(obj, "hardware file", ("schema_version", "id", "style", "units"))
+        keys = ("id", "style", "units")
+        check_keys(obj, "hardware file", ("schema_version", *keys), keys)
         units = records_from_obj(HardwareUnit, obj["units"], "units")
         return HardwareSystem(id=obj["id"], style=obj["style"], units=units)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: `.keys()` on a non-object
+    except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: `.keys()` on a non-object
         raise ConfigError(f"malformed hardware file: {exc}") from exc
 
 
@@ -229,9 +230,10 @@ def table_to_obj(table: CostTable) -> dict:
 
 def table_from_obj(obj: Mapping) -> CostTable:
     try:
-        check_keys(obj, "cost file", ("schema_version", "e_max_mj", "entries"))
+        keys = ("e_max_mj", "entries")
+        check_keys(obj, "cost file", ("schema_version", *keys), keys)
         return CostTable(records_from_obj(CostEntry, obj["entries"], "entries"), e_max_mj=json_number(obj, "e_max_mj"))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: `.keys()` on a non-object
+    except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: `.keys()` on a non-object
         raise ConfigError(f"malformed cost table: {exc}") from exc
 
 

@@ -85,11 +85,14 @@ class UnitModel:
             raise ConfigError(f"model {self.id!r}: needs at least one input source")
         for src_id in self.input_sources:
             check_id(f"model {self.id!r}: input source", src_id)
+        for name in ("task_tag", "dataset_tag", "accuracy_metric_id"):
+            if not isinstance(tag := getattr(self, name), str):
+                raise ConfigError(f"model {self.id!r}: {name} must be a string, not {tag!r}")
         if self.metric_direction not in (HIGHER_IS_BETTER, LOWER_IS_BETTER):
             raise ConfigError(f"model {self.id!r}: bad metric_direction {self.metric_direction!r}")
         if not 0 < self.reported_metric < math.inf:
             raise ConfigError(f"model {self.id!r}: reported_metric must be finite and > 0")
-        if self.flops is not None and self.flops <= 0:
+        if self.flops is not None and not 0 < self.flops < math.inf:
             raise ConfigError(f"model {self.id!r}: flops must be positive when given")
         achieved = self.achieved_metric
         is_number = isinstance(achieved, (int, float)) and not isinstance(achieved, bool)
@@ -387,12 +390,16 @@ def record_to_obj(value):
     return [record_to_obj(v) for v in value] if isinstance(value, tuple) else value
 
 
-def check_keys(obj: Mapping, where: str, keys: Collection[str]) -> None:
+def check_keys(obj: Mapping, where: str, keys: Collection[str], required: Iterable[str]) -> None:
     """A ConfigError for the first key of `obj`, found at `where`, that is neither one of `keys` nor
-    retired, or for a schema_version other than SCHEMA_VERSION; a file without one is version 1."""
+    retired, then for the first of `required` that it lacks, or for a schema_version other than
+    SCHEMA_VERSION; a file without one is version 1. This holds at a file's top level and in each record."""
     for key in obj.keys():  # an AttributeError on a non-object, which each file parser reports as malformed
         if key not in keys and key not in RETIRED_KEYS:
             raise ConfigError(f"{where}: unknown key {key!r} (expected one of {', '.join(keys)})")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{where}: missing key {key!r}")
     if obj.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:  # only a file's top level allows the key
         raise ConfigError(f"{where}: schema_version must be {SCHEMA_VERSION!r}, not {obj['schema_version']!r}")
 
@@ -402,16 +409,23 @@ def records_from_obj(cls, items, where: str, outer: Mapping | None = None) -> tu
     return tuple(record_from_obj(cls, item, f"{where}[{i}]", outer) for i, item in enumerate(items))
 
 
+def records_by_id(cls, items, where: str) -> dict:
+    """`records_from_obj(cls, items, where)` keyed by id; a repeated id is a ConfigError."""
+    records = {}
+    for i, record in enumerate(records_from_obj(cls, items, where)):
+        if records.setdefault(record.id, record) is not record:
+            raise ConfigError(f"{where}[{i}]: duplicate id {record.id!r}")
+    return records
+
+
 def record_from_obj(cls, obj: Mapping, where: str, outer: Mapping | None = None):
-    """A `cls` read from the file object `obj`, found at `where`; a missing required key is a ConfigError.
+    """A `cls` read from the file object `obj`, found at `where`; a key without a default is required.
     The implied fields copy their values from `outer`, the fields read so far of the enclosing record."""
     keys = {FILE_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name not in IMPLIED}
-    check_keys(obj, where, keys)
+    check_keys(obj, where, keys, [key for key, f in keys.items() if f.default is MISSING])
     values = {f.name: outer[IMPLIED[f.name]] for f in fields(cls) if f.name in IMPLIED}
     for key, f in keys.items():
         if key not in obj:
-            if f.default is MISSING:
-                raise ConfigError(f"{where}: missing key {key!r}")
             continue
         value = obj[key]
         if f.name in RECORD_LISTS:
@@ -437,11 +451,12 @@ def config_to_obj(config: SuiteConfig) -> dict:
 def config_from_obj(obj: Mapping) -> SuiteConfig:
     """Parse the suite file schema back into a SuiteConfig."""
     try:
-        check_keys(obj, "suite file", ("schema_version", "input_sources", "models", "scenarios"))
-        sources = {s.id: s for s in records_from_obj(InputSource, obj["input_sources"], "input_sources")}
-        models = {m.id: m for m in records_from_obj(UnitModel, obj["models"], "models")}
+        keys = ("input_sources", "models", "scenarios")
+        check_keys(obj, "suite file", ("schema_version", *keys), keys)
+        sources = records_by_id(InputSource, obj["input_sources"], "input_sources")
+        models = records_by_id(UnitModel, obj["models"], "models")
         scenarios = records_from_obj(UsageScenario, obj["scenarios"], "scenarios")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: `.keys()` on a non-object
+    except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: `.keys()` on a non-object
         raise ConfigError(f"malformed suite specification: {exc}") from exc
     return SuiteConfig(sources=sources, models=models, suite=BenchmarkSuite(scenarios=scenarios))
 

@@ -371,6 +371,21 @@ WRONGLY_TYPED_FIELDS = {
         lambda o: o["input_sources"][0].update(streaming_rate=10**400),
         "streaming_rate is too large for a float",
     ),
+    "suite-task-tag-object": (
+        "--suite",
+        lambda o: o["models"][0].update(task_tag={"a": [1]}),
+        "model 'HT': task_tag must be a string, not {'a': [1]}",
+    ),
+    "suite-dataset-tag-number": (
+        "--suite",
+        lambda o: o["models"][0].update(dataset_tag=7),
+        "model 'HT': dataset_tag must be a string, not 7",
+    ),
+    "suite-accuracy-metric-id-null": (
+        "--suite",
+        lambda o: o["models"][0].update(accuracy_metric_id=None),
+        "model 'HT': accuracy_metric_id must be a string, not None",
+    ),
     "hw-clock-string": ("--hw", lambda o: o["units"][0].update(clock_ghz="2"), "clock_ghz must be a number, not '2'"),
     "costs-emax-string": ("--costs", lambda o: o.update(e_max_mj="50"), "e_max_mj must be a number, not '50'"),
     "costs-latency-string": (
@@ -461,6 +476,16 @@ REFUSED_VALUES = {
         lambda o: o["scenarios"].append(o["scenarios"][0]),
         "benchmark suite: duplicate scenario ids",
     ),
+    "suite-duplicate-source": (
+        "--suite",
+        lambda o: o["input_sources"].append(dict(o["input_sources"][0], streaming_rate=30.0)),
+        "input_sources[3]: duplicate id 'camera'",
+    ),
+    "suite-duplicate-model": (
+        "--suite",
+        lambda o: o["models"].append(dict(o["models"][0], flops=1.0)),
+        "models[11]: duplicate id 'HT'",
+    ),
 }
 
 
@@ -470,6 +495,35 @@ def test_a_value_a_record_refuses_in_a_file_is_one_error_line(tmp_path, capsys, 
     assert _run_with_edited_file(tmp_path, flag, edit) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, key, kind",
+    [
+        ("--suite", "input_sources", "suite"),
+        ("--suite", "models", "suite"),
+        ("--suite", "scenarios", "suite"),
+        ("--hw", "id", "hardware"),
+        ("--hw", "style", "hardware"),
+        ("--hw", "units", "hardware"),
+        ("--costs", "e_max_mj", "cost"),
+        ("--costs", "entries", "cost"),
+    ],
+)
+def test_a_missing_top_level_key_is_named_like_a_nested_one(tmp_path, capsys, flag, key, kind):
+    assert _run_with_edited_file(tmp_path, flag, lambda o: o.pop(key)) == 2
+    assert capsys.readouterr().err == f"error: {kind} file: missing key {key!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_flops_that_is_not_finite_fails_validate(tmp_path, capsys, value):
+    obj = config_to_obj(builtin_config())
+    obj["models"][0]["flops"] = value
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(obj))  # NaN and Infinity as JSON's non-standard literals
+    assert main(["validate", "--suite", str(path)]) == 2
+    assert capsys.readouterr().err == "error: model 'HT': flops must be positive when given\n"
 
 
 @pytest.mark.parametrize("flag", ["--suite", "--hw", "--costs"])

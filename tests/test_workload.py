@@ -129,6 +129,13 @@ def test_reported_metric_must_be_finite_and_positive(reported):
         _model(reported, HIGHER_IS_BETTER)
 
 
+@pytest.mark.parametrize("flops", [math.nan, math.inf, 0.0, -1.0])
+def test_flops_must_be_finite_and_positive_when_given(flops):
+    with pytest.raises(ConfigError, match="model 'A': flops must be positive when given"):
+        replace(_model(1.0, HIGHER_IS_BETTER), flops=flops)
+    assert replace(_model(1.0, HIGHER_IS_BETTER), flops=1e-300).flops == 1e-300
+
+
 def test_lower_is_better_achieved_metric_must_be_positive():
     with pytest.raises(ConfigError, match="model 'A': a lower-is-better achieved_metric"):
         replace(_model(10.0, LOWER_IS_BETTER), achieved_metric=0.0)
