@@ -15,6 +15,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterator
 
 from . import costmodel, loadgen, runtime, scoring, workload
 from .errors import ConfigError, ScoringError
@@ -90,13 +91,34 @@ def _resolved_config_obj(args, hw, cfg) -> dict:
     }
 
 
-def _simulate_scenario(scenario, config, hw, table, args, arrivals: dict) -> runtime.EventLog:
+def _simulate_scenario(scenario, config, hw, table, args, arrivals: dict, done: list[str]) -> runtime.EventLog:
     """Generate and simulate one scenario; `arrivals` is the map of source
-    arrivals that every scenario of one command shares."""
+    arrivals that every scenario of one command shares. The sources in `done`
+    leave it once the stream is built: no later scenario samples them."""
     stream = loadgen.generate_requests(
         scenario, config.sources, config.models, args.duration, args.seed, arrivals=arrivals
     )
+    for sid in done:
+        del arrivals[config.sources[sid], args.seed]
     return runtime.simulate(scenario, stream, hw, table, policy=args.policy)
+
+
+def _simulations(scenarios, config, hw, table, args) -> Iterator[tuple[workload.UsageScenario, runtime.EventLog]]:
+    """Simulate each scenario in turn, yielding (scenario, log), on one map of
+    source arrivals that holds a source until the last scenario that samples it.
+    A stream lives only in `_simulate_scenario`'s frame, so none outlives its run."""
+    last: dict[str, int] = {}  # source id -> the index of the last scenario that samples it
+    for i, scenario in enumerate(scenarios):
+        for entry in scenario.entries:
+            model = config.models.get(entry.model)  # an unknown model fails to generate
+            for sid in model.input_sources if model is not None else ():
+                last[sid] = i
+    done: list[list[str]] = [[] for _ in scenarios]
+    for sid, i in last.items():
+        done[i].append(sid)
+    arrivals: dict = {}
+    for scenario, done_here in zip(scenarios, done):
+        yield scenario, _simulate_scenario(scenario, config, hw, table, args, arrivals, done_here)
 
 
 def _write_scenario_outputs(out: Path, scenario_id: str, log) -> None:
@@ -137,9 +159,8 @@ def cmd_run(args) -> int:
 
     # One scenario at a time: its log is dropped once written and scored, so
     # memory is bounded by the largest scenario, not the suite.
-    reports, arrivals = {}, {}
-    for scenario in scenarios:
-        log = _simulate_scenario(scenario, config, hw, table, args, arrivals)
+    reports = {}
+    for scenario, log in _simulations(scenarios, config, hw, table, args):
         _write_scenario_outputs(out, scenario.id, log)
         reports[scenario.id] = scoring.scenario_report(log, scenario, config.models, cfg)
         del log
@@ -218,11 +239,8 @@ def cmd_validate(args) -> int:
     if args.hw or args.costs or args.synthetic:
         hw = _load_hardware(args)
         table = _load_costs(args, config, hw)
-        arrivals: dict = {}
-        for scenario in scenarios:
-            if invalid[scenario.id]:
-                continue  # an invalid scenario may not simulate at all
-            log = _simulate_scenario(scenario, config, hw, table, args, arrivals)
+        valid = [s for s in scenarios if not invalid[s.id]]  # an invalid scenario may not simulate at all
+        for scenario, log in _simulations(valid, config, hw, table, args):
             violations += [f"{scenario.id}: {v}" for v in runtime.validate_schedule(log, scenario)]
     for v in violations:
         print(v)

@@ -34,6 +34,8 @@ class HardwareUnit:
 
     def __post_init__(self) -> None:
         check_id("unit", self.id)
+        if not self.id:  # a timeline writes an empty unit for a request that never ran
+            raise ConfigError("unit id must not be empty")
         if self.dataflow not in ("WS", "OS", "RS"):
             raise ConfigError(f"unit {self.id!r}: dataflow must be one of WS, OS, RS, not {self.dataflow!r}")
         if isinstance(self.pe_count, bool) or not isinstance(self.pe_count, int):

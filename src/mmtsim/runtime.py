@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -380,11 +381,29 @@ LOG_CSV_FIELDS = (
 )
 
 
-def _csv_rows(log: EventLog) -> Iterator[tuple]:
-    """The timeline's rows in stream order, times in milliseconds. A request
-    time or deadline equal to the previous row's reuses its text, and a start
-    equal to the request time takes the request time's text; the text is the
-    float's repr(), which is what csv writes for a float."""
+_LOG_CSV_HEADER = ",".join(LOG_CSV_FIELDS) + "\r\n"
+
+
+class _CsvFields(dict):
+    """Each distinct id or status as a csv field: csv renders it once, in a row
+    of its own with an empty second field, and the row's end is cut off. A None
+    unit renders as an empty field."""
+
+    def __missing__(self, key: str | None) -> str:
+        buf = io.StringIO()
+        csv.writer(buf).writerow((key, ""))
+        text = self[key] = buf.getvalue().removesuffix(",\r\n")
+        return text
+
+
+def _csv_lines(log: EventLog) -> Iterator[str]:
+    """The timeline's rows in stream order as text lines, formatted directly
+    as csv.writer would write them: a float as its repr(), an int as its str()
+    and None as an empty field, times in milliseconds, each line ending in
+    CRLF. csv quotes each distinct model id, unit id and status once. A
+    request time or deadline equal to the previous row's reuses its text, and
+    a start equal to the request time takes the request time's text."""
+    fields = _CsvFields()
     req_us = dl_us = None  # the previous row's request time and deadline, µs
     req = dl = ""  # and their text
     for (model, frame, index, t_req, t_dl), unit, t_start, t_end, status, energy in zip(
@@ -394,17 +413,17 @@ def _csv_rows(log: EventLog) -> Iterator[tuple]:
             req_us, req = t_req, repr(t_req / US_PER_MS)
         if t_dl != dl_us:
             dl_us, dl = t_dl, repr(t_dl / US_PER_MS)
-        start = req if t_start == t_req else None if t_start is None else t_start / US_PER_MS
-        end = None if t_end is None else t_end / US_PER_MS
-        yield model, index, frame, unit, req, start, end, dl, status, energy
+        start = req if t_start == t_req else "" if t_start is None else repr(t_start / US_PER_MS)
+        end = "" if t_end is None else repr(t_end / US_PER_MS)
+        yield f"{fields[model]},{index},{frame},{fields[unit]},{req},{start},{end},{dl},{fields[status]},{energy!r}\r\n"
 
 
 def log_to_csv(log: EventLog, fh) -> None:
-    """One row per request in stream order; csv writes a float as its repr()
-    and None as an empty field."""
-    writer = csv.writer(fh)
-    writer.writerow(LOG_CSV_FIELDS)
-    writer.writerows(_csv_rows(log))
+    """One row per request in stream order, the same bytes csv.writer would
+    write; the rows are formatted directly by `_csv_lines`, and csv quotes
+    each distinct id once."""
+    fh.write(_LOG_CSV_HEADER)
+    fh.writelines(_csv_lines(log))
 
 
 def log_from_csv(fh, scenario: str = "") -> EventLog:

@@ -75,6 +75,31 @@ def test_run_and_validate_share_one_arrivals_map_per_call_and_sweep_none(tmp_pat
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_a_source_leaves_the_arrivals_map_after_the_last_scenario_that_samples_it(tmp_path, monkeypatch, command):
+    config = builtin_config()
+    scenarios = config.suite.scenarios
+    sampled = [{sid for m in s.model_ids for sid in config.models[m].input_sources} for s in scenarios]
+    original_generate, original_simulate = loadgen.generate_requests, runtime.simulate
+    maps, held = [], []
+
+    def generate_requests(*args, **kwargs):
+        maps.append(kwargs["arrivals"])
+        return original_generate(*args, **kwargs)
+
+    def simulate(*args, **kwargs):
+        held.append({source.id for source, _ in maps[-1]})
+        return original_simulate(*args, **kwargs)
+
+    monkeypatch.setattr(loadgen, "generate_requests", generate_requests)
+    monkeypatch.setattr(runtime, "simulate", simulate)
+    argv = [command, "--hw", "preset:J", "--synthetic", "--duration", "0.5"]
+    assert main(argv + (["--out", str(tmp_path / "o")] if command == "run" else [])) == 0
+    # while scenario i simulates, the map holds the sources sampled both up to i and after it
+    assert held == [set().union(*sampled[: i + 1]) & set().union(*sampled[i + 1 :]) for i in range(len(scenarios))]
+    assert maps[-1] == {}
+
+
 def test_a_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
     def log_to_csv(log, fh):
         fh.write("model,request_index\n")
@@ -445,6 +470,7 @@ REFUSED_VALUES = {
         lambda o: o["units"][1].update(power_watts=math.nan),
         "unit 'u1-os': power_watts must be finite",
     ),
+    "hw-empty-unit-id": ("--hw", lambda o: o["units"][0].update(id=""), "unit id must not be empty"),
     "hw-duplicate-unit-id": ("--hw", lambda o: o["units"][1].update(id="u0-ws"), "system 'J-4k': duplicate unit ids"),
     "costs-duplicate-entry": (
         "--costs",

@@ -1,6 +1,7 @@
 """`log_to_csv` against the reference writer in `reference_csv.py`: the same
 bytes on the built-in suite, on fuzzed setups, on logs read back from a
-timeline and on hand-built rows that put each reused text to the test."""
+timeline, on hand-built rows that put each reused text to the test and on
+ids that csv must quote, which must also read back unchanged."""
 
 import functools
 import io
@@ -16,7 +17,7 @@ from mmtsim.runtime import COMPLETED, DROPPED, LATENCY_GREEDY, ROUND_ROBIN, UNTR
 
 import reference_csv
 from fuzzing import random_setup
-from timelines import TimelineEntry, log_of
+from timelines import TimelineEntry, log_of, rows
 
 
 def _text(writer, log) -> str:
@@ -108,4 +109,54 @@ def test_rows_drawn_from_few_times_match_the_reference_writer(drawn):
     _assert_same_bytes(
         log_of([_row(f"m{i}", 0, t_req, t_dl, start, end, energy=e) for i, (t_req, t_dl, start, end, e) in
                 enumerate(drawn)])
+    )
+
+
+# (model, unit): ids holding each character that csv quotes, a leading space and an empty model id
+QUOTED_IDS = [
+    ("a,b", "u,v"),
+    ('say "hi"', '"'),
+    ("cr\r", "\rcr"),
+    ("lf\n", "two\r\nlines"),
+    (" lead", " u"),
+    ("", "u"),
+]
+
+
+def _assert_read_back(log) -> None:
+    text = _assert_same_bytes(log)
+    assert rows(log_from_csv(io.StringIO(text))) == rows(log)
+
+
+def test_ids_that_csv_must_quote_match_the_reference_writer_and_read_back():
+    log = log_of(
+        [
+            row
+            for i, (model, unit) in enumerate(QUOTED_IDS)
+            for row in (
+                _row(model, 0, 1000 * i, 9000, start=1000 * i, end=1000 * i + 10, status=COMPLETED, unit=unit,
+                     energy=0.25),
+                _row(model, 1, 1000 * i + 1, 9001),
+            )
+        ]
+    )
+    _assert_read_back(log)
+    assert _text(log_to_csv, log).split("\r\n")[1:3] == [
+        '"a,b",0,0,"u,v",0.0,0.0,0.01,9.0,completed,0.25',
+        '"a,b",1,1,,0.001,,,9.001,dropped,0.0',
+    ]
+
+
+ID_TEXT = st.text(alphabet=[",", '"', "\r", "\n", " ", "a"], max_size=4)
+
+
+@given(st.lists(st.tuples(ID_TEXT, st.one_of(st.none(), ID_TEXT.filter(bool))), max_size=8,
+                unique_by=lambda drawn: drawn[0]))
+@settings(max_examples=100, deadline=None)
+def test_ids_drawn_from_characters_csv_quotes_match_the_reference_writer_and_read_back(drawn):
+    # a model with a unit ran on it; one without was dropped
+    _assert_read_back(
+        log_of([_row(model, 0, 1000 * i, 9000) if unit is None else
+                _row(model, 0, 1000 * i, 9000, start=1000 * i, end=1000 * i + 10, status=COMPLETED, unit=unit)
+                for i, (model, unit) in enumerate(drawn)])
     )
