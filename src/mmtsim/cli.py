@@ -34,10 +34,10 @@ def _atomic_write(path: Path):
     try:
         with fh:
             yield fh
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 def _load_config(args) -> workload.SuiteConfig:
@@ -54,10 +54,10 @@ def _load_hardware(args) -> costmodel.HardwareSystem:
         if len(pes) > 1:
             raise ConfigError(f"--hw {args.hw!r}: expected preset:<A..M>[:<total PEs>]")
         try:
-            total_pes = int(pes[0]) if pes else 4096
+            total_pes = [int(p) for p in pes]  # none: preset_system's default
         except ValueError:
             raise ConfigError(f"--hw {args.hw!r}: total PEs must be an integer") from None
-        return costmodel.preset_system(name, total_pes=total_pes)
+        return costmodel.preset_system(name, *total_pes)
     return costmodel.load_hardware_file(args.hw)
 
 
@@ -91,34 +91,25 @@ def _resolved_config_obj(args, hw, cfg) -> dict:
     }
 
 
-def _simulate_scenario(scenario, config, hw, table, args, arrivals: dict, done: list[str]) -> runtime.EventLog:
-    """Generate and simulate one scenario; `arrivals` is the map of source
-    arrivals that every scenario of one command shares. The sources in `done`
-    leave it once the stream is built: no later scenario samples them."""
+def _simulate_scenario(scenario, later, config, hw, table, args, arrivals: dict) -> runtime.EventLog:
+    """Generate and simulate one scenario on the `arrivals` map that every scenario of one command
+    shares; once the stream is built, each source that none of the `later` scenarios samples leaves it."""
     stream = loadgen.generate_requests(
         scenario, config.sources, config.models, args.duration, args.seed, arrivals=arrivals
     )
-    for sid in done:
-        del arrivals[config.sources[sid], args.seed]
+    later_models = {e.model for s in later for e in s.entries} & config.models.keys()  # an unknown one fails later
+    sampled = {sid for m in later_models for sid in config.models[m].input_sources}
+    for key in [key for key in arrivals if key[0].id not in sampled]:
+        del arrivals[key]
     return runtime.simulate(scenario, stream, hw, table, policy=args.policy)
 
 
 def _simulations(scenarios, config, hw, table, args) -> Iterator[tuple[workload.UsageScenario, runtime.EventLog]]:
-    """Simulate each scenario in turn, yielding (scenario, log), on one map of
-    source arrivals that holds a source until the last scenario that samples it.
-    A stream lives only in `_simulate_scenario`'s frame, so none outlives its run."""
-    last: dict[str, int] = {}  # source id -> the index of the last scenario that samples it
-    for i, scenario in enumerate(scenarios):
-        for entry in scenario.entries:
-            model = config.models.get(entry.model)  # an unknown model fails to generate
-            for sid in model.input_sources if model is not None else ():
-                last[sid] = i
-    done: list[list[str]] = [[] for _ in scenarios]
-    for sid, i in last.items():
-        done[i].append(sid)
+    """Simulate each scenario in turn, yielding (scenario, log), on one map of source
+    arrivals; a stream lives only in `_simulate_scenario`'s frame, so none outlives its run."""
     arrivals: dict = {}
-    for scenario, done_here in zip(scenarios, done):
-        yield scenario, _simulate_scenario(scenario, config, hw, table, args, arrivals, done_here)
+    for i, scenario in enumerate(scenarios):
+        yield scenario, _simulate_scenario(scenario, scenarios[i + 1 :], config, hw, table, args, arrivals)
 
 
 def _write_scenario_outputs(out: Path, scenario_id: str, log) -> None:
@@ -205,6 +196,7 @@ def cmd_sweep(args) -> int:
     # The points differ only in one edge's probability, which the request
     # stream does not depend on: generate it once and simulate it at each.
     scenarios = [workload.with_edge_probability(base, upstream, downstream, p) for p in values]
+    loadgen.check_window(base, args.duration)  # a model without requests could not be scored
     stream = loadgen.generate_requests(scenarios[0], config.sources, config.models, args.duration, args.seed)
     out = Path(args.out)  # made only once every value, the edge and the window have passed
     out.mkdir(parents=True, exist_ok=True)
@@ -255,22 +247,17 @@ def cmd_score(args) -> int:
         raise ConfigError("score requires --scenario")
     config = _load_config(args)
     scenario = config.suite.scenario(args.scenario)
+    workload.check_scenario(scenario, config.sources, config.models)
     if args.emax is None:
         raise ConfigError("score requires --emax (the cost table is not available here)")
+    cfg = scoring.ScoringConfig(k=args.k, e_max_mj=args.emax)  # checks both values before the timeline is read
     with workload.open_text_file(args.log, newline="") as fh:
         log = runtime.log_from_csv(fh, scenario=scenario.id)
-    violations = runtime.validate_schedule(log, scenario)
-    if violations:
+    if violations := runtime.validate_schedule(log, scenario):
         raise ConfigError(f"timeline {args.log}: {violations[0]}")
-    cfg = scoring.ScoringConfig(k=args.k, e_max_mj=args.emax)
     report = scoring.build_report({scenario.id: log}, config, cfg)  # a model the timeline lacks fails here
-    for model_id in log.positions:
-        if model_id not in scenario.model_ids:
-            raise ConfigError(
-                f"timeline {args.log} holds model {model_id!r}, which scenario {scenario.id!r} does not run"
-            )
-    obj = scoring.report_to_obj(report)
-    text = json.dumps(obj, indent=2) + "\n"
+    runtime.check_models(scenario, log.positions, f"timeline {args.log} holds")
+    text = json.dumps(scoring.report_to_obj(report), indent=2) + "\n"
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -308,7 +295,7 @@ def _add_simulation(p: argparse.ArgumentParser) -> None:
 
 
 def _add_scoring(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=float, default=10.0, help="deadline sensitivity (1/s)")
+    p.add_argument("--k", type=float, default=scoring.ScoringConfig.k, help="deadline sensitivity (1/s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

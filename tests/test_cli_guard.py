@@ -78,3 +78,31 @@ def test_no_single_replaced_value_in_a_file_escapes_as_an_exception(tmp_path, ca
         capsys.readouterr()  # drop the cases' output
     assert cases == 715
     assert not failures, "\n".join(failures)
+
+
+def test_no_single_replaced_value_in_a_suite_file_escapes_score(tmp_path, capsys):
+    """`score` re-scores one fixed timeline of the trimmed suite's scenario
+    under each replaced value of that suite file."""
+    _, suite, _ = guard_files()[0]
+    run = tmp_path / "run"
+    sim = ["--hw", "preset:J:96", "--synthetic", "--duration", "0.1"]
+    assert main(["run", "--scenario", SCENARIO, *sim, "--out", str(run)]) == 0
+    emax = json.loads((run / "report.json").read_text())["scoring_config"]["e_max_mj"]
+    path = tmp_path / "suite.json"
+    argv = ["score", "--suite", str(path), "--scenario", SCENARIO, "--emax", repr(emax),
+            "--log", str(run / f"timeline_{SCENARIO}.csv")]
+    failures, cases = [], 0
+    for where in value_paths(suite):
+        for value in REPLACEMENTS:
+            cases += 1
+            path.write_text(json.dumps(replaced(suite, where, value)))
+            try:
+                code = main(argv)
+            except Exception as exc:  # any escape is a failure; collect them all
+                failures.append(f"suite {list(where)} = {value!r}: {type(exc).__name__}: {exc}")
+                continue
+            if code not in (0, 1, 2):
+                failures.append(f"suite {list(where)} = {value!r}: exit {code}")
+    capsys.readouterr()  # drop the cases' output
+    assert cases == 410
+    assert not failures, "\n".join(failures)
