@@ -6,7 +6,7 @@ per-inference scores roll up into per-model means, model score x QoE rolls
 up into scenario scores, and those average into the overall number.
 """
 
-from mmtsim import builtin_config, generate_requests, simulate, synthetic_table
+from mmtsim import builtin_config, simulate_suite, synthetic_table
 from mmtsim.costmodel import preset_system
 from mmtsim.scoring import ScoringConfig, build_report
 
@@ -22,10 +22,8 @@ for unit in hw.units:
     print(f"  {unit.id}: {unit.dataflow}, {unit.pe_count} PEs")
 print()
 
-logs = {}
-for scenario in config.suite.scenarios:
-    stream = generate_requests(scenario, config.sources, config.models, DURATION_S, SEED)
-    logs[scenario.id] = simulate(scenario, stream, hw, costs)
+runs = simulate_suite(config.suite.scenarios, config, hw, costs, DURATION_S, SEED)
+logs = {scenario.id: log for scenario, log in runs}
 
 report = build_report(logs, config, ScoringConfig(k=10.0, e_max_mj=costs.e_max_mj))
 

@@ -15,7 +15,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterator
 
 from . import costmodel, loadgen, runtime, scoring, workload
 from .errors import ConfigError, ScoringError
@@ -91,27 +90,6 @@ def _resolved_config_obj(args, hw, cfg) -> dict:
     }
 
 
-def _simulate_scenario(scenario, later, config, hw, table, args, arrivals: dict) -> runtime.EventLog:
-    """Generate and simulate one scenario on the `arrivals` map that every scenario of one command
-    shares; once the stream is built, each source that none of the `later` scenarios samples leaves it."""
-    stream = loadgen.generate_requests(
-        scenario, config.sources, config.models, args.duration, args.seed, arrivals=arrivals
-    )
-    later_models = {e.model for s in later for e in s.entries} & config.models.keys()  # an unknown one fails later
-    sampled = {sid for m in later_models for sid in config.models[m].input_sources}
-    for key in [key for key in arrivals if key[0].id not in sampled]:
-        del arrivals[key]
-    return runtime.simulate(scenario, stream, hw, table, policy=args.policy)
-
-
-def _simulations(scenarios, config, hw, table, args) -> Iterator[tuple[workload.UsageScenario, runtime.EventLog]]:
-    """Simulate each scenario in turn, yielding (scenario, log), on one map of source
-    arrivals; a stream lives only in `_simulate_scenario`'s frame, so none outlives its run."""
-    arrivals: dict = {}
-    for i, scenario in enumerate(scenarios):
-        yield scenario, _simulate_scenario(scenario, scenarios[i + 1 :], config, hw, table, args, arrivals)
-
-
 def _write_scenario_outputs(out: Path, scenario_id: str, log) -> None:
     with _atomic_write(out / f"timeline_{scenario_id}.csv") as fh:
         runtime.log_to_csv(log, fh)
@@ -151,7 +129,7 @@ def cmd_run(args) -> int:
     # One scenario at a time: its log is dropped once written and scored, so
     # memory is bounded by the largest scenario, not the suite.
     reports = {}
-    for scenario, log in _simulations(scenarios, config, hw, table, args):
+    for scenario, log in runtime.simulate_suite(scenarios, config, hw, table, args.duration, args.seed, args.policy):
         _write_scenario_outputs(out, scenario.id, log)
         reports[scenario.id] = scoring.scenario_report(log, scenario, config.models, cfg)
         del log
@@ -232,7 +210,7 @@ def cmd_validate(args) -> int:
         hw = _load_hardware(args)
         table = _load_costs(args, config, hw)
         valid = [s for s in scenarios if not invalid[s.id]]  # an invalid scenario may not simulate at all
-        for scenario, log in _simulations(valid, config, hw, table, args):
+        for scenario, log in runtime.simulate_suite(valid, config, hw, table, args.duration, args.seed, args.policy):
             violations += [f"{scenario.id}: {v}" for v in runtime.validate_schedule(log, scenario)]
     for v in violations:
         print(v)

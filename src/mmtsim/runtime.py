@@ -51,6 +51,7 @@ never completes, so its edges never fire and its dependents never launch.
 A single simulation is strictly single-threaded and deterministic; multiple
 simulations can run concurrently since all inputs are immutable (concurrent
 first runs of one stream may each build its plan; the plans are equal).
+`simulate_suite` runs a list of scenarios in turn on one arrivals map.
 """
 
 from __future__ import annotations
@@ -64,10 +65,11 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from . import loadgen
 from .costmodel import CostTable, HardwareSystem
 from .errors import ConfigError
 from .loadgen import US_PER_MS, InferenceRequest, RequestStream, det_rand
-from .workload import SCHEMA_VERSION, DependencyEdge, UsageScenario
+from .workload import SCHEMA_VERSION, DependencyEdge, SuiteConfig, UsageScenario
 
 COMPLETED = "completed"
 DROPPED = "dropped"
@@ -333,6 +335,26 @@ def simulate(
         energy_mj=energy_mj,
         positions=MappingProxyType(positions),
     )
+
+
+def simulate_suite(
+    scenarios: Sequence[UsageScenario], config: SuiteConfig, hw: HardwareSystem, costs: CostTable,
+    duration: float, seed: int, policy: str = LATENCY_GREEDY,
+) -> Iterator[tuple[UsageScenario, EventLog]]:
+    """Generate and simulate each scenario in turn, yielding (scenario, log) in the order given, on one
+    `arrivals` map: once a stream is built, each source that no later scenario samples leaves it (a model
+    the catalog lacks fails in its own scenario). One stream, with its plan, and one log live at a time."""
+    arrivals: dict = {}
+    for i, scenario in enumerate(scenarios):
+        stream = loadgen.generate_requests(scenario, config.sources, config.models, duration, seed, arrivals=arrivals)
+        later_models = {e.model for s in scenarios[i + 1 :] for e in s.entries} & config.models.keys()
+        sampled = {sid for m in later_models for sid in config.models[m].input_sources}
+        for key in [key for key in arrivals if key[0].id not in sampled]:
+            del arrivals[key]
+        log = simulate(scenario, stream, hw, costs, policy=policy)
+        del stream
+        yield scenario, log
+        del log
 
 
 def validate_schedule(log: EventLog, scenario: UsageScenario) -> list[str]:

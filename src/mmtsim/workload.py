@@ -412,9 +412,17 @@ def check_keys(obj: Mapping, where: str, keys: Collection[str], required: Iterab
         raise ConfigError(f"{where}: schema_version must be {SCHEMA_VERSION!r}, not {obj['schema_version']!r}")
 
 
+def json_list(value, where: str) -> list:
+    """`value`, found at `where`, if it is a JSON list. Anything else raises a TypeError naming
+    `where`, which each file parser reports as malformed: an object or a string is not read as a list."""
+    if not isinstance(value, list):
+        raise TypeError(f"{where} must be a list, not {value!r}")
+    return value
+
+
 def records_from_obj(cls, items, where: str, outer: Mapping | None = None) -> tuple:
-    """Each of the file objects `items`, found at `where`, read as a `cls`."""
-    return tuple(record_from_obj(cls, item, f"{where}[{i}]", outer) for i, item in enumerate(items))
+    """Each of the file objects in the list `items`, found at `where`, read as a `cls`."""
+    return tuple(record_from_obj(cls, item, f"{where}[{i}]", outer) for i, item in enumerate(json_list(items, where)))
 
 
 def records_by_id(cls, items, where: str) -> dict:
@@ -439,7 +447,7 @@ def record_from_obj(cls, obj: Mapping, where: str, outer: Mapping | None = None)
         if f.name in RECORD_LISTS:
             value = records_from_obj(RECORD_LISTS[f.name], value, f"{where}.{key}", values)
         elif f.type.startswith("tuple"):  # a tuple of ids; `f.type` is the annotation's text
-            value = tuple(value)
+            value = tuple(json_list(value, f"{where}.{key}"))
         elif f.name in NUMBER_FIELDS and not (value is None and f.default is None):
             value = json_number(obj, key)
         values[f.name] = value

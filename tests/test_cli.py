@@ -435,6 +435,38 @@ WRONGLY_TYPED_FIELDS = {
         lambda o: o["units"][0].update(dataflow=["WS"]),
         "dataflow must be one of WS, OS, RS, not ['WS']",
     ),
+    # a list field given as an object or a string: neither is read as its keys or its characters
+    "suite-dependencies-object": (
+        "--suite",
+        lambda o: o["scenarios"][0]["entries"][2].update(dependencies={}),
+        "malformed suite specification: scenarios[0].entries[2].dependencies must be a list, not {}",
+    ),
+    "suite-dependencies-string": (
+        "--suite",
+        lambda o: o["scenarios"][0]["entries"][2].update(dependencies="ES"),
+        "scenarios[0].entries[2].dependencies must be a list, not 'ES'",
+    ),
+    "suite-input-sources-string": (
+        "--suite",
+        lambda o: o["models"][0].update(input_sources="camera"),
+        "models[0].input_sources must be a list, not 'camera'",
+    ),
+    "suite-entries-object": (
+        "--suite",
+        lambda o: o["scenarios"][0].update(entries={"a": 1}),
+        "scenarios[0].entries must be a list, not {'a': 1}",
+    ),
+    "suite-models-object": ("--suite", lambda o: o.update(models={}), "models must be a list, not {}"),
+    "hw-units-object": (
+        "--hw",
+        lambda o: o.update(units={u["id"]: u for u in o["units"]}),
+        "malformed hardware file: units must be a list, not {'u0-ws': ",
+    ),
+    "costs-entries-object": (
+        "--costs",
+        lambda o: o.update(entries={}),
+        "malformed cost table: entries must be a list, not {}",
+    ),
 }
 
 

@@ -1,4 +1,5 @@
-"""Each demo prints exactly the bytes it printed when its digest was pinned."""
+"""Each demo prints exactly the bytes it printed when its digest was pinned,
+and README's quick start runs against the package as documented."""
 
 import hashlib
 import os
@@ -32,3 +33,16 @@ def test_demo_prints_its_pinned_bytes(demo):
         cwd=ROOT, env=env, capture_output=True, check=True,
     )
     assert hashlib.sha256(done.stdout).hexdigest() == PINS[demo]
+
+
+def test_readme_quick_start_prints_one_score():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", code],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+    )
+    (line,) = done.stdout.splitlines()
+    assert 0.0 <= float(line) <= 1.0

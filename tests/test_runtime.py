@@ -20,6 +20,7 @@ from mmtsim import (
     builtin_config,
     generate_requests,
     simulate,
+    simulate_suite,
     synthetic_table,
     validate_schedule,
 )
@@ -29,7 +30,9 @@ from mmtsim.runtime import (
     COMPLETED,
     DROPPED,
     UNTRIGGERED,
+    LATENCY_GREEDY,
     LOG_CSV_FIELDS,
+    ROUND_ROBIN,
     eval_control_gate,
     log_from_csv,
     log_to_csv,
@@ -450,6 +453,14 @@ def _one_violation_cases():
             [TimelineEntry(_req("A", 0, t_req=100), "u0", t_start_us=99, t_end_us=150, status=COMPLETED, energy_mj=0.0)],
             "A[0] started before its request time",
         ),
+        "overlap-by-one-us": (
+            only_a,
+            [
+                TimelineEntry(_req("A", 0), "u0", t_start_us=0, t_end_us=100, status=COMPLETED, energy_mj=0.0),
+                TimelineEntry(_req("A", 1), "u0", t_start_us=99, t_end_us=150, status=COMPLETED, energy_mj=0.0),
+            ],
+            "occupancy violation on unit u0: A[0] overlaps A[1]",
+        ),
     }
 
 
@@ -457,6 +468,15 @@ def _one_violation_cases():
 def test_validate_schedule_reports_the_one_violation_of_a_timeline(case):
     scenario, rows, message = _one_violation_cases()[case]
     assert validate_schedule(log_of(rows), scenario) == [message]
+
+
+def test_validate_schedule_accepts_back_to_back_runs_on_one_unit():
+    scenario = UsageScenario(id="x", entries=(ScenarioEntry(model="A", target_rate=2.0),))
+    rows = [
+        TimelineEntry(_req("A", 0), "u0", t_start_us=0, t_end_us=100, status=COMPLETED, energy_mj=0.0),
+        TimelineEntry(_req("A", 1), "u0", t_start_us=100, t_end_us=150, status=COMPLETED, energy_mj=0.0),
+    ]
+    assert validate_schedule(log_of(rows), scenario) == []
 
 
 def test_validate_schedule_reports_violations_in_a_fixed_order():
@@ -501,6 +521,21 @@ def test_validate_schedule_passes_simulated_timelines():
         stream = generate_requests(scenario, sources, models, 0.5, seed=i)
         for policy in ("latency-greedy", "round-robin"):
             assert validate_schedule(simulate(scenario, stream, hw, costs, policy=policy), scenario) == []
+
+
+@pytest.mark.parametrize("policy", [LATENCY_GREEDY, ROUND_ROBIN])
+def test_simulate_suite_yields_each_given_scenario_in_order_as_its_own_run(policy):
+    config = builtin_config()
+    hw = preset_system("J")
+    costs = synthetic_table(config.models, hw)
+    scenarios = config.suite.scenarios
+    for given in (scenarios, scenarios[1::2], scenarios[::-1]):  # the suite, a subset as validate passes, reversed
+        seen = []
+        for scenario, log in simulate_suite(given, config, hw, costs, 2.0, 7, policy):
+            stream = generate_requests(scenario, config.sources, config.models, 2.0, 7)
+            assert log == simulate(scenario, stream, hw, costs, policy=policy)
+            seen.append(scenario)
+        assert seen == list(given)
 
 
 def test_log_csv_roundtrip():
