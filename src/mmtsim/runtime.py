@@ -45,8 +45,9 @@ shares the plan's per-model positions through a read-only view, so neither
 the log nor its reader can change a later run. A run adds its plan to the
 stream and changes nothing else there. A request's status is set exactly
 once, when it launches (completed) or fails (dropped or untriggered);
-requests still waiting when the stream runs out are dropped. A failed anchor
-never completes, so its edges never fire and its dependents never launch.
+requests still waiting when the stream runs out, each its model's latest
+arrival, are dropped through `latest`. A failed anchor never completes, so
+its edges never fire and its dependents never launch.
 
 A single simulation is strictly single-threaded and deterministic; multiple
 simulations can run concurrently since all inputs are immutable (concurrent
@@ -114,14 +115,14 @@ class EventLog:
         requests, status, t_end_us = self.requests, self.status, self.t_end_us
         self.counts = {}
         for m, ps in self.positions.items():
-            statuses = [status[p] for p in ps]
-            self.counts[m] = ModelCounts(
-                n_total=len(ps),
-                n_processed=statuses.count(COMPLETED),
-                n_dropped=statuses.count(DROPPED),
-                n_untriggered=statuses.count(UNTRIGGERED),
-                n_sat=sum(status[p] == COMPLETED and t_end_us[p] <= requests[p].t_dl_us for p in ps),
-            )
+            done = [p for p in ps if status[p] == COMPLETED]
+            n_sat = len([p for p in done if t_end_us[p] <= requests[p][4]])  # requests[p][4]: t_dl_us
+            if len(done) == len(ps):
+                n_dropped = n_untriggered = 0
+            else:
+                statuses = [status[p] for p in ps]
+                n_dropped, n_untriggered = statuses.count(DROPPED), statuses.count(UNTRIGGERED)
+            self.counts[m] = ModelCounts(len(ps), len(done), n_dropped, n_untriggered, n_sat)
 
     @property
     def entries(self) -> list[tuple]:
@@ -321,7 +322,11 @@ def simulate(
             energy_mj[p] = energy[model][rank]
             heapq.heappush(completions, (t_end_us[p], rank, p))
 
-    # Requests still waiting when the window closed have no user-visible result.
+    # Requests still waiting when the window closed have no user-visible result;
+    # each is its model's latest arrival, since an arrival drops the one before it.
+    for p in latest.values():
+        if status[p] is None:
+            status[p] = DROPPED
     return EventLog(
         scenario=scenario.id,
         hardware=hw.id,
@@ -331,7 +336,7 @@ def simulate(
         unit=unit,
         t_start_us=t_start_us,
         t_end_us=t_end_us,
-        status=[st or DROPPED for st in status],
+        status=status,
         energy_mj=energy_mj,
         positions=MappingProxyType(positions),
     )

@@ -127,6 +127,7 @@ def model_report(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> ModelRe
     requests, status, t_end_us, energy_mj = log.requests, log.status, log.t_end_us, log.energy_mj
     exp = math.exp
     rt_sum = en_sum = acc_sum = product_sum = 0.0
+    prev_e = None  # a model's energies repeat, one float object per unit, so each new one is checked once
     for p in log.positions[model.id]:  # ascending request index
         if status[p] != COMPLETED:
             continue
@@ -139,9 +140,10 @@ def model_report(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> ModelRe
             arg = _EXP_CLAMP
         rt = 1.0 / (1.0 + exp(arg))
         e = energy_mj[p]
-        if not 0 <= e <= e_max:  # NaN fails too
-            raise ScoringError(f"energy {e} mJ outside [0, {e_max}]")
-        en = (e_max - e) / e_max
+        if e is not prev_e:
+            if not 0 <= e <= e_max:  # NaN fails too
+                raise ScoringError(f"energy {e} mJ outside [0, {e_max}]")
+            prev_e, en = e, (e_max - e) / e_max
         rt_sum += rt
         en_sum += en
         acc_sum += acc
@@ -149,14 +151,8 @@ def model_report(log: EventLog, model: UnitModel, cfg: ScoringConfig) -> ModelRe
     n = counts.n_processed
     denom = n + counts.n_dropped  # untriggered requests were never droppable work
     qoe = qoe_score(n, denom) if denom > 0 else 0.0
-    return ModelReport(
-        rt_mean=rt_sum / n if n else 0.0,
-        en_mean=en_sum / n if n else 0.0,
-        acc_mean=acc_sum / n if n else 0.0,
-        model_score=product_sum / n if n else 0.0,
-        qoe=qoe,
-        **counts._asdict(),
-    )
+    means = (rt_sum / n, en_sum / n, acc_sum / n, product_sum / n) if n else (0.0, 0.0, 0.0, 0.0)
+    return ModelReport(*means, qoe, *counts)  # a ModelReport's fields are the means, qoe, then the counts'
 
 
 def scenario_report(
@@ -169,11 +165,10 @@ def scenario_report(
     (model score x QoE)."""
     reports: dict[str, ModelReport] = {}
     total = 0.0
-    for model_id in scenario.model_ids:
-        rep = model_report(log, models[model_id], cfg)
-        reports[model_id] = rep
+    for entry in scenario.entries:
+        rep = reports[entry.model] = model_report(log, models[entry.model], cfg)
         total += rep.model_score * rep.qoe
-    return ScenarioReport(models=reports, scenario_score=total / len(scenario.model_ids))
+    return ScenarioReport(models=reports, scenario_score=total / len(scenario.entries))
 
 
 def overall_score(scenario_scores: Sequence[float], mean: str = ARITHMETIC) -> float:

@@ -158,3 +158,20 @@ def test_the_summary_tells_whether_a_gain_holds(monkeypatch, tmp_path, capsys, c
     verdict = f"median better by more than the parent's IQR): {'yes' if holds else 'no'};"
     assert verdict in lines["wall_s"] and verdict in lines["req_per_s"]  # req_per_s is 100 / wall_s
 
+
+
+def test_the_paired_median_shows_a_loss_that_the_two_medians_hide(monkeypatch, tmp_path, capsys):
+    # seeds of different lengths; the change loses 8 pairs by 2 ms and wins 2 by more, near the
+    # middle, so its unpaired median reads better than the parent's
+    parent = [0.470, 0.440, 0.462, 0.490, 0.455, 0.465, 0.450, 0.480, 0.460, 0.475]
+    change = [0.472, 0.442, 0.445, 0.492, 0.457, 0.448, 0.452, 0.482, 0.462, 0.477]
+    roots = _checkouts(tmp_path)
+    _fake_runs(monkeypatch, {"parent": parent, "change": change})
+    argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]), "--workload", "preset-sweep"]
+    assert bench_pairs.main(argv) == 0
+    lines = {line.split()[1]: line for line in capsys.readouterr().out.splitlines() if line.startswith("preset-sweep ")}
+    wall, rate = lines["wall_s"], lines["req_per_s"]
+    assert "parent 0.4635 [IQR 0.0175] -> change 0.4595 [IQR 0.0267], -0.9%;" in wall
+    assert "the median of the per-pair changes (change/parent - 1) is +0.4%;" in wall
+    assert "+0.9%; the median of the per-pair changes (change/parent - 1) is -0.4%;" in rate  # 100 / wall_s
+    assert "the change won 2 of 10" in wall and "the change won 2 of 10" in rate

@@ -33,6 +33,7 @@ from mmtsim.runtime import (
     LATENCY_GREEDY,
     LOG_CSV_FIELDS,
     ROUND_ROBIN,
+    ModelCounts,
     eval_control_gate,
     log_from_csv,
     log_to_csv,
@@ -186,6 +187,40 @@ def test_a_request_whose_anchor_was_dropped_never_launches():
     assert log.t_start_us[3] == 100_000
 
 
+@pytest.mark.parametrize("policy", [LATENCY_GREEDY, ROUND_ROBIN])
+def test_requests_still_waiting_when_the_stream_runs_out_are_dropped(policy):
+    # D0 and E0 have no upstream frame to wait on and run first; X then holds the unit from 5 to
+    # 105 ms. U0 (frame 1) waits from 10 ms and is dropped when U1 (frame 2) arrives at 50 ms, so
+    # D1 and E1, anchored to U0, still wait when the stream runs out: each is its model's last
+    # request, and both must be dropped.
+    scenario, _, _, hw, costs = _one_unit_scenario(
+        {"X": 100.0, "U": 1.0, "D": 1.0, "E": 1.0}, [("U", "D", 1.0), ("U", "E", 1.0)]
+    )
+    requests = (
+        InferenceRequest("D", frame_index=0, request_index=0, t_req_us=0, t_dl_us=1_000_000),
+        InferenceRequest("E", frame_index=0, request_index=0, t_req_us=0, t_dl_us=1_000_000),
+        InferenceRequest("X", frame_index=0, request_index=0, t_req_us=5_000, t_dl_us=1_000_000),
+        InferenceRequest("U", frame_index=1, request_index=0, t_req_us=10_000, t_dl_us=1_000_000),
+        InferenceRequest("D", frame_index=1, request_index=1, t_req_us=20_000, t_dl_us=1_000_000),
+        InferenceRequest("E", frame_index=1, request_index=1, t_req_us=20_000, t_dl_us=1_000_000),
+        InferenceRequest("U", frame_index=2, request_index=1, t_req_us=50_000, t_dl_us=1_000_000),
+    )
+    stream = RequestStream(scenario="x", duration=1.0, seed=0, requests=requests)
+    log = simulate(scenario, stream, hw, costs, policy=policy)
+    assert log.status == [COMPLETED, COMPLETED, COMPLETED, DROPPED, DROPPED, DROPPED, COMPLETED]
+    assert log.t_start_us[6] == 105_000  # U1 launches when X ends; nothing fires for D1 and E1
+    assert [log.positions[m][-1] for m in "DE"] == [4, 5]
+
+
+def test_no_simulated_request_is_left_without_a_status():
+    rng = random.Random(31)
+    for i in range(40):
+        scenario, sources, models, hw, costs = random_setup(rng)
+        stream = generate_requests(scenario, sources, models, 0.5, seed=i)
+        for policy in (LATENCY_GREEDY, ROUND_ROBIN):
+            assert None not in simulate(scenario, stream, hw, costs, policy=policy).status
+
+
 def test_eval_control_gate_extremes():
     edge = lambda p: DependencyEdge(upstream="U", downstream="D", trigger_probability=p)
     assert all(eval_control_gate(edge(1.0), f, 0) for f in range(100))
@@ -322,6 +357,57 @@ def test_counts_partition_invariant():
         log = simulate(scenario, stream, hw, costs)
         for counts in log.counts.values():
             assert counts.n_total == counts.n_processed + counts.n_dropped + counts.n_untriggered
+
+
+def _naive_counts(log):
+    """Each model's counts, one status at a time over its positions."""
+    counts = {}
+    for m, ps in log.positions.items():
+        n_processed = n_dropped = n_untriggered = n_sat = 0
+        for p in ps:
+            if log.status[p] == COMPLETED:
+                n_processed += 1
+                if log.t_end_us[p] <= log.requests[p].t_dl_us:
+                    n_sat += 1
+            elif log.status[p] == DROPPED:
+                n_dropped += 1
+            elif log.status[p] == UNTRIGGERED:
+                n_untriggered += 1
+        counts[m] = ModelCounts(len(ps), n_processed, n_dropped, n_untriggered, n_sat)
+    return counts
+
+
+def test_counts_equal_a_per_status_count_of_simulated_and_read_logs():
+    seen = set()
+    for log in _simulated_logs():
+        assert log.counts == _naive_counts(log)
+        seen.update(log.status)
+    for text in _timeline_texts():
+        log = log_from_csv(io.StringIO(text))
+        assert log.counts == _naive_counts(log)
+    assert seen == {COMPLETED, DROPPED, UNTRIGGERED}
+
+
+def test_counts_of_a_hand_built_log_equal_a_per_status_count():
+    # statuses equal to the constants but not the same objects; B never completes, and its
+    # last row has no status, which counts in n_total only
+    completed, dropped, untriggered = ("".join(list(st)) for st in (COMPLETED, DROPPED, UNTRIGGERED))
+    assert completed is not COMPLETED
+    log = log_of([
+        TimelineEntry(_req("A", 0, t_dl=500), "u0", 0, 400, completed, 0.1),
+        TimelineEntry(_req("A", 1, t_dl=500), "u0", 400, 600, completed, 0.1),  # late: not satisfied
+        TimelineEntry(_req("B", 0), None, None, None, untriggered, 0.0),
+        TimelineEntry(_req("A", 2), None, None, None, dropped, 0.0),
+        TimelineEntry(_req("B", 1), None, None, None, dropped, 0.0),
+        TimelineEntry(_req("A", 3), None, None, None, untriggered, 0.0),
+        TimelineEntry(_req("C", 0, t_dl=500), "u1", 0, 500, completed, 0.1),
+        TimelineEntry(_req("B", 2), None, None, None, None, 0.0),
+    ])
+    assert log.counts == _naive_counts(log) == {
+        "A": ModelCounts(n_total=4, n_processed=2, n_dropped=1, n_untriggered=1, n_sat=1),
+        "B": ModelCounts(n_total=3, n_processed=0, n_dropped=1, n_untriggered=1, n_sat=0),
+        "C": ModelCounts(n_total=1, n_processed=1, n_dropped=0, n_untriggered=0, n_sat=1),
+    }
 
 
 def test_simulation_is_deterministic():

@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 
 from mmtsim import ScoringError, builtin_config, generate_requests, simulate, synthetic_table
 from mmtsim.costmodel import CostTable, preset_system
-from mmtsim.runtime import COMPLETED, DROPPED
+from mmtsim.runtime import COMPLETED, DROPPED, ModelCounts
 from mmtsim.loadgen import InferenceRequest
 from mmtsim.scoring import (
+    ModelReport,
     ScoringConfig,
     accuracy_score,
     build_report,
@@ -361,3 +362,19 @@ def test_model_report_rejects_an_energy_out_of_range_with_the_reference_message(
     with pytest.raises(ScoringError) as got:
         model_report(log, MODEL, CFG)
     assert str(got.value) == str(reference.value) == f"energy {energy} mJ outside [0, 10.0]"
+
+
+@pytest.mark.parametrize("energy", [10.5, -0.25, math.nan])
+def test_model_report_checks_an_energy_deep_among_rows_that_share_one(energy):
+    shared = float("2.5")  # one object, as simulate and log_from_csv give each unit's energy
+    entries = [_entry("A", k, COMPLETED, t_end=50_000, energy=shared) for k in range(200)]
+    entries[150] = _entry("A", 150, COMPLETED, t_end=50_000, energy=energy)
+    assert all(e.energy_mj is shared for i, e in enumerate(entries) if i != 150)
+    with pytest.raises(ScoringError) as got:
+        model_report(log_of(entries), MODEL, CFG)
+    assert str(got.value) == f"energy {energy} mJ outside [0, 10.0]"
+
+
+def test_a_model_reports_fields_end_with_the_counts_fields():
+    # model_report builds a ModelReport from its means, its qoe and its counts, by position
+    assert ModelReport._fields[5:] == ModelCounts._fields

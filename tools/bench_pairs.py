@@ -14,7 +14,9 @@ runs do: a checkout whose `src/` or `perfbench/` holds a `__pycache__`
 directory is refused, and each run has `PYTHONDONTWRITEBYTECODE=1`.
 
 For each end-to-end metric of `BENCHMARK.json`, it prints the medians and
-interquartile ranges of both sides, the change in the median, how many
+interquartile ranges of both sides, the change in the median, the median of
+the per-pair relative differences (change/parent - 1), which follows the
+pairs where the two sides' medians may pick different seeds, how many
 pairs the change won, whether the medians differ by more than the
 parent's interquartile range, whether a gain holds, and whether the change's
 median is worse than the parent's by more than the metric's relative `bound`.
@@ -51,9 +53,9 @@ def read_metrics(root: Path) -> dict[str, tuple[str, float]]:
 
 
 def compare(values: dict[str, list[float]], better: str, bound: float) -> dict:
-    """Medians, interquartile ranges and the change's wins over the pairs of one
-    metric, whether a gain holds, and whether its median is worse than the
-    parent's by more than `bound`."""
+    """Medians, interquartile ranges, the median per-pair relative difference
+    and the change's wins over the pairs of one metric, whether a gain holds,
+    and whether its median is worse than the parent's by more than `bound`."""
     parent, change = values["parent"], values["change"]
     stats = {}
     for side in SIDES:
@@ -67,6 +69,7 @@ def compare(values: dict[str, list[float]], better: str, bound: float) -> dict:
     return {
         **stats,
         "relative": relative,
+        "paired": statistics.median(c / p - 1 for p, c in zip(parent, change)),
         "wins": wins,
         "beyond_parent_iqr": beyond_parent_iqr,
         "gain_holds": wins >= GAIN_WINS * len(parent) and beyond_parent_iqr and better_median,
@@ -80,6 +83,7 @@ def report_line(workload: str, name: str, unit: str, better: str, bound: float, 
     return (
         f"{workload} {name} ({unit}, {better} is better): parent {p['median']:.6g} [IQR {p['iqr']:.3g}]"
         f" -> change {ch['median']:.6g} [IQR {ch['iqr']:.3g}], {c['relative']:+.1%};"
+        f" the median of the per-pair changes (change/parent - 1) is {c['paired']:+.1%};"
         f" the change won {c['wins']} of {pairs}; the medians differ by {beyond} than the parent's IQR;"
         f" a gain holds (won at least {GAIN_WINS:.0%} of the pairs, median better by more than the parent's IQR):"
         f" {'yes' if c['gain_holds'] else 'no'};"
