@@ -90,13 +90,6 @@ def _resolved_config_obj(args, hw, cfg) -> dict:
     }
 
 
-def _write_scenario_outputs(out: Path, scenario_id: str, log) -> None:
-    with _atomic_write(out / f"timeline_{scenario_id}.csv") as fh:
-        runtime.log_to_csv(log, fh)
-    with _atomic_write(out / f"log_{scenario_id}.json") as fh:
-        fh.write(json.dumps(runtime.log_to_obj(log), indent=2) + "\n")
-
-
 def _summary_text(report: scoring.ScoreReport) -> str:
     lines = []
     header = f"{'scenario':24s} {'model':6s} {'rt':>7s} {'en':>7s} {'acc':>7s} {'qoe':>7s} {'score':>7s}"
@@ -130,7 +123,10 @@ def cmd_run(args) -> int:
     # memory is bounded by the largest scenario, not the suite.
     reports = {}
     for scenario, log in runtime.simulate_suite(scenarios, config, hw, table, args.duration, args.seed, args.policy):
-        _write_scenario_outputs(out, scenario.id, log)
+        with _atomic_write(out / f"timeline_{scenario.id}.csv") as fh:
+            runtime.log_to_csv(log, fh)
+        with _atomic_write(out / f"log_{scenario.id}.json") as fh:
+            fh.write(json.dumps(runtime.log_to_obj(log, hw.id, args.seed, args.duration), indent=2) + "\n")
         reports[scenario.id] = scoring.scenario_report(log, scenario, config.models, cfg)
         del log
 
@@ -190,7 +186,7 @@ def cmd_sweep(args) -> int:
         point_obj = {
             "schema_version": workload.SCHEMA_VERSION,
             "probability": p,
-            "counts": runtime.log_to_obj(log)["counts"],
+            "counts": runtime.log_to_obj(log, hw.id, args.seed, args.duration)["counts"],
             "scenario_score": report.scenario_score,
         }
         with _atomic_write(out / f"sweep_point_{p:g}.json") as fh:

@@ -83,6 +83,8 @@ class CostEntry:
     energy_mj: float
 
     def __post_init__(self) -> None:
+        check_id("cost entry model", self.model)
+        check_id("cost entry unit", self.unit)
         if not 0 < self.latency_ms < math.inf:
             raise ConfigError(f"cost ({self.model!r}, {self.unit!r}): latency must be finite and > 0")
         if not 0 <= self.energy_mj < math.inf:

@@ -95,7 +95,6 @@ class RequestStream:
     `plans`, `simulate`'s plans by edge shape, is no part of its value."""
 
     scenario: str
-    duration: float
     seed: int
     requests: tuple[InferenceRequest, ...]
     plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -219,5 +218,5 @@ def generate_requests(
         index = frames if not frames or frames[-1] == n - 1 else range(n)  # frames 0..n-1 are their own indices
         rows = zip(repeat(entry.model), frames, index, t_req, t_dl)
         requests += map(tuple.__new__, repeat(InferenceRequest), rows)  # InferenceRequest(*row), without a Python call
-    return RequestStream(scenario=scenario.id, duration=duration, seed=seed, requests=tuple(requests))
+    return RequestStream(scenario=scenario.id, seed=seed, requests=tuple(requests))
 

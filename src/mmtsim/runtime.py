@@ -99,9 +99,6 @@ class EventLog:
     `counts`, derived from them once."""
 
     scenario: str
-    hardware: str
-    seed: int
-    duration: float
     requests: Sequence[InferenceRequest]
     unit: list[str | None]
     t_start_us: list[int | None]
@@ -329,9 +326,6 @@ def simulate(
             status[p] = DROPPED
     return EventLog(
         scenario=scenario.id,
-        hardware=hw.id,
-        seed=stream.seed,
-        duration=stream.duration,
         requests=requests,
         unit=unit,
         t_start_us=t_start_us,
@@ -462,7 +456,6 @@ def log_to_csv(log: EventLog, fh) -> None:
 def log_from_csv(fh, scenario: str = "") -> EventLog:
     """Read a timeline written by `log_to_csv`, its columns in any order and
     blank lines skipped; a malformed one is a ConfigError naming its line.
-    The CSV holds no hardware, seed or duration, so the log's are blank.
     Statuses are this module's constants. Each distinct model id, unit id and
     energy text is parsed into one object, not one per row, and an index or
     start whose text equals the row's frame or request time takes that value."""
@@ -528,9 +521,6 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
                 raise ConfigError(f"timeline CSV has no row for {model} request_index {i}")
     return EventLog(
         scenario=scenario,
-        hardware="",
-        seed=0,
-        duration=0.0,
         requests=requests,
         unit=unit,
         t_start_us=t_start_us,
@@ -541,13 +531,13 @@ def log_from_csv(fh, scenario: str = "") -> EventLog:
     )
 
 
-def log_to_obj(log: EventLog) -> dict:
-    """The JSON document embedding the per-model counts."""
+def log_to_obj(log: EventLog, hardware: str, seed: int, duration: float) -> dict:
+    """The JSON document of the log's per-model counts and its run's hardware id, seed and window."""
     return {
         "schema_version": SCHEMA_VERSION,
         "scenario": log.scenario,
-        "hardware": log.hardware,
-        "seed": log.seed,
-        "duration_s": log.duration,
+        "hardware": hardware,
+        "seed": seed,
+        "duration_s": duration,
         "counts": {m: c._asdict() for m, c in sorted(log.counts.items())},
     }

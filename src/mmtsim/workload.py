@@ -132,6 +132,7 @@ class ScenarioEntry:
     dependencies: tuple[DependencyEdge, ...] = ()
 
     def __post_init__(self) -> None:
+        check_id("scenario entry model", self.model)
         if not 0 < self.target_rate < math.inf:
             raise ConfigError(f"scenario entry {self.model!r}: target_rate must be finite and > 0")
         for edge in self.dependencies:

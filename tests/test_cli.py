@@ -28,6 +28,24 @@ def test_run_builtin_suite(tmp_path):
         assert (out / f"log_{sid}.json").exists()
 
 
+def test_run_log_files_carry_the_run_identity_and_the_report_counts(tmp_path):
+    hw_path = tmp_path / "hw.json"
+    hw_path.write_text(json.dumps(dict(system_to_obj(preset_system("J")), id="lab-board")))
+    out = tmp_path / "out"
+    assert main(["run", "--hw", str(hw_path), "--synthetic", "--seed", "3", "--duration", "0.5", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    run_config = report["run_config"]
+    assert (run_config["hardware"]["id"], run_config["seed"], run_config["duration_s"]) == ("lab-board", 3, 0.5)
+    count_fields = list(runtime.ModelCounts._fields)
+    for sid, srep in report["scenarios"].items():
+        obj = json.loads((out / f"log_{sid}.json").read_text())
+        assert obj["scenario"] == sid
+        assert obj["hardware"] == run_config["hardware"]["id"]
+        assert obj["seed"] == run_config["seed"]
+        assert obj["duration_s"] == run_config["duration_s"]
+        assert obj["counts"] == {mid: {f: m[f] for f in count_fields} for mid, m in srep["models"].items()}
+
+
 def test_run_is_byte_deterministic(tmp_path):
     args = ["run", "--hw", "preset:B", "--synthetic", "--seed", "5", "--out"]
     assert main(args + [str(tmp_path / "a")]) == 0
@@ -466,6 +484,22 @@ WRONGLY_TYPED_FIELDS = {
         "--costs",
         lambda o: o.update(entries={}),
         "malformed cost table: entries must be a list, not {}",
+    ),
+    # an entry no lookup reaches is refused, not left unused
+    "costs-entry-model-int": (
+        "--costs",
+        lambda o: o["entries"].append({"model": 5, "unit": "u0-ws", "latency_ms": 1.0, "energy_mj": 0.1}),
+        "cost entry model id must be a string, not 5",
+    ),
+    "costs-entry-unit-list": (
+        "--costs",
+        lambda o: o["entries"][0].update(unit=["u0-ws"]),
+        "cost entry unit id must be a string, not ['u0-ws']",
+    ),
+    "suite-entry-model-list": (
+        "--suite",
+        lambda o: o["scenarios"][0]["entries"][0].update(model=["HT"]),
+        "scenario entry model id must be a string, not ['HT']",
     ),
 }
 

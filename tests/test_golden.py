@@ -77,8 +77,12 @@ def _simulate_suite(config, hw):
 
 
 def test_builtin_suite_outputs_are_byte_identical_to_recorded_digests():
-    logs, _ = _simulate_suite(builtin_config(), preset_system("G", total_pes=96))
-    got = {sid: (_sha256(_csv(log)), _sha256(json.dumps(log_to_obj(log), indent=2))) for sid, log in logs.items()}
+    hw = preset_system("G", total_pes=96)
+    logs, _ = _simulate_suite(builtin_config(), hw)
+    got = {
+        sid: (_sha256(_csv(log)), _sha256(json.dumps(log_to_obj(log, hw.id, 7, 5.0), indent=2)))
+        for sid, log in logs.items()
+    }
     assert got == GOLDEN
 
 

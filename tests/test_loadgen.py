@@ -126,7 +126,7 @@ def test_inference_request_is_an_immutable_value():
 def _stream(*requests):
     """A hand-built stream of (model, frame, request index, request time in ms) requests."""
     requests = tuple(InferenceRequest(m, frame, k, t_req_ms * 1000, 500_000) for m, frame, k, t_req_ms in requests)
-    return RequestStream(scenario="x", duration=1.0, seed=0, requests=requests)
+    return RequestStream(scenario="x", seed=0, requests=requests)
 
 
 def test_a_model_whose_requests_arrive_swapped_is_a_config_error():

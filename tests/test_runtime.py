@@ -182,7 +182,7 @@ def test_a_request_whose_anchor_was_dropped_never_launches():
         InferenceRequest("D", frame_index=1, request_index=0, t_req_us=20_000, t_dl_us=1_000_000),
         InferenceRequest("U", frame_index=2, request_index=1, t_req_us=50_000, t_dl_us=1_000_000),
     )
-    log = simulate(scenario, RequestStream(scenario="x", duration=1.0, seed=0, requests=requests), hw, costs)
+    log = simulate(scenario, RequestStream(scenario="x", seed=0, requests=requests), hw, costs)
     assert log.status == [COMPLETED, DROPPED, DROPPED, COMPLETED]
     assert log.t_start_us[3] == 100_000
 
@@ -205,7 +205,7 @@ def test_requests_still_waiting_when_the_stream_runs_out_are_dropped(policy):
         InferenceRequest("E", frame_index=1, request_index=1, t_req_us=20_000, t_dl_us=1_000_000),
         InferenceRequest("U", frame_index=2, request_index=1, t_req_us=50_000, t_dl_us=1_000_000),
     )
-    stream = RequestStream(scenario="x", duration=1.0, seed=0, requests=requests)
+    stream = RequestStream(scenario="x", seed=0, requests=requests)
     log = simulate(scenario, stream, hw, costs, policy=policy)
     assert log.status == [COMPLETED, COMPLETED, COMPLETED, DROPPED, DROPPED, DROPPED, COMPLETED]
     assert log.t_start_us[6] == 105_000  # U1 launches when X ends; nothing fires for D1 and E1
@@ -268,7 +268,7 @@ def _hand_run(latency_ms, arrivals, policy, units=1):
     for model, t_req, t_dl in arrivals:
         k = seen[model] = seen.get(model, -1) + 1
         requests.append(_req(model, k, t_req=round(t_req * 1000), t_dl=round(t_dl * 1000)))
-    stream = RequestStream(scenario="x", duration=1.0, seed=0, requests=tuple(requests))
+    stream = RequestStream(scenario="x", seed=0, requests=tuple(requests))
     hw_units = tuple(HardwareUnit(id=f"u{i}", dataflow="WS", pe_count=1) for i in range(units))
     hw = HardwareSystem(id="h", style="FDA" if units == 1 else "SFDA", units=hw_units)
     costs = CostTable([CostEntry(m, u.id, lat, 0.0) for m, lat in latency_ms.items() for u in hw_units], e_max_mj=1.0)
@@ -439,7 +439,7 @@ def test_a_stream_given_out_of_order_is_kept_and_simulated_in_dispatch_order():
     stream = generate_requests(scenario, config.sources, config.models, 1.0, seed=7)
     shuffled = list(stream.requests)
     random.Random(3).shuffle(shuffled)
-    given = RequestStream(scenario=stream.scenario, duration=stream.duration, seed=stream.seed, requests=shuffled)
+    given = RequestStream(scenario=stream.scenario, seed=stream.seed, requests=shuffled)
     assert given.requests == stream.requests and type(given.requests) is tuple
     hw = preset_system("G", total_pes=96)
     costs = synthetic_table(config.models, hw)

@@ -30,9 +30,6 @@ def log_of(rows: list[TimelineEntry]) -> EventLog:
         ps.sort(key=lambda p: rows[p].request.request_index)
     return EventLog(
         scenario="x",
-        hardware="h",
-        seed=0,
-        duration=1.0,
         requests=[row.request for row in rows],
         unit=[row.unit for row in rows],
         t_start_us=[row.t_start_us for row in rows],
