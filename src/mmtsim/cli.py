@@ -151,7 +151,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--edge must look like ES->GE") from None
     texts = [v.strip() for v in args.values.split(",")]
     try:
-        values = [float(v) for v in texts]
+        values = [float(v) + 0.0 for v in texts]  # + 0.0 turns -0.0 into 0.0, one point and one file name
     except ValueError:
         raise ConfigError(f"--values {args.values!r}: each value must be a number") from None
     first_of: dict[str, str] = {}  # point file name -> the value that names it

@@ -8,21 +8,27 @@ not launched when the next request of the same model arrives is dropped.
 Events: a cursor walks the stream, which is in dispatch order (request time,
 model, request index) and gives each model its request indices 0, 1, 2, ...
 in turn, so an arrival drops whatever its model has waiting. Running
-inferences sit in a heap of (end time, unit rank, stream position). At
-equal timestamps, completions free their units in unit id order and
-resolve the gates downstream of them, then arrivals apply the drop rule,
-then free units, lowest id first, each take one ready request by the policy.
+inferences sit in a heap of (end time, unit rank, stream position). Each
+pass of the loop takes one branch by the kind of the next event. If a
+completion is due no later than the next arrival, the completion branch pops
+every completion at that time, freeing their units in unit id order and
+resolving the gates downstream of them; otherwise the arrival branch takes
+the time from the cursor. Then the arrivals at that time apply the drop
+rule, and free units, lowest id first, each take one ready request by the
+policy. The loop ends when neither branch applies.
 
 Policies: a request waits while it has arrived (its position is below the
 cursor) and has no status, so a model has at most one waiting request, its
 latest arrival, and a policy picks among models. "latency-greedy" takes the
 request with the lowest cost-table latency on the freeing unit, then the
-earliest deadline, then the lowest model id. It scans the unit's models in
-(latency, id) order, sorted when the unit first compares, and compares
-deadlines only among equal latencies. "round-robin" keeps one cursor per
-unit: the unit takes the first ready model after its previous pick in the
-scenario's model order, wrapping around. A lone ready request is taken
-without comparing (round-robin still moves the unit's cursor to it).
+earliest deadline, then the lowest model id. It scans the unit's latency
+order, built when the unit first compares: each model in (latency, id)
+order, with a tuple of the later models that share its latency. A compare
+takes the first waiting model and compares deadlines only with the waiting
+models of its tuple. "round-robin" keeps one cursor per unit: the unit takes
+the first ready model after its previous pick in the scenario's model
+order, wrapping around. A lone ready request is popped without comparing
+(round-robin still moves the unit's cursor to it).
 
 State: per-request state lives in flat lists indexed by stream position.
 What depends on the stream alone comes from a plan, built on the first run
@@ -226,6 +232,7 @@ def simulate(
         energy[model_id] = [cost[uid].energy_mj for uid in unit_ids]
     if policy not in (LATENCY_GREEDY, ROUND_ROBIN):
         raise ConfigError(f"unknown scheduler policy {policy!r}")
+    greedy = policy == LATENCY_GREEDY
     order = {m: i for i, m in enumerate(scenario.model_ids)}  # the round-robin cycle
     last = [-1] * len(units)  # unit rank -> order of its last round-robin pick
 
@@ -252,31 +259,34 @@ def simulate(
     free = list(range(len(units)))  # ranks of idle units, ascending
     latest: dict[str, int] = {}  # model -> its latest arrival, waiting while its status is None
     ready: dict[str, int] = {}  # the waiting requests with no unresolved dependency
-    by_latency: list[list[tuple[float, str]] | None] = [None] * len(units)  # rank -> (latency, model), sorted
+    by_latency: list[list[tuple[str, tuple[str, ...]]] | None] = [None] * len(units)  # rank -> models by (latency, id)
     cursor = 0
-    while cursor < n or completions:
+    while True:
         if completions and (cursor == n or completions[0][0] <= req_of[cursor]):
+            # Completions free their units (lowest rank first) and resolve gates.
             now = completions[0][0]
-        else:
+            while True:
+                _, rank, p = heapq.heappop(completions)
+                insort(free, rank)
+                if p in dependents:
+                    up_frame = requests[p].frame_index
+                    for e, d in dependents[p]:
+                        if status[d] is not None:
+                            continue
+                        if eval_control_gate(edges[e], up_frame, stream.seed):
+                            unresolved[d] -= 1
+                            if not unresolved[d] and d < cursor:  # arrived, so waiting
+                                ready[model_of[d]] = d
+                        else:  # d is not ready: this edge is one of its unresolved dependencies
+                            status[d] = UNTRIGGERED
+                if not completions or completions[0][0] != now:
+                    break
+        elif cursor < n:
             now = req_of[cursor]
+        else:
+            break
 
-        # Completions free their units (lowest rank first) and resolve gates.
-        while completions and completions[0][0] == now:
-            _, rank, p = heapq.heappop(completions)
-            insort(free, rank)
-            if p in dependents:
-                up_frame = requests[p].frame_index
-                for e, d in dependents[p]:
-                    if status[d] is not None:
-                        continue
-                    if eval_control_gate(edges[e], up_frame, stream.seed):
-                        unresolved[d] -= 1
-                        if not unresolved[d] and d < cursor:  # arrived, so waiting
-                            ready[model_of[d]] = d
-                    else:  # d is not ready: this edge is one of its unresolved dependencies
-                        status[d] = UNTRIGGERED
-
-        # Arrivals supersede their model's waiting request (the drop rule).
+        # Arrivals at `now` supersede their model's waiting request (the drop rule).
         while cursor < n and req_of[cursor] == now:
             p = cursor
             cursor += 1
@@ -293,25 +303,27 @@ def simulate(
         while ready and free:
             rank = free.pop(0)
             if len(ready) == 1:
-                model = next(iter(ready))
-            elif policy == LATENCY_GREEDY:
+                model, p = ready.popitem()
+            elif greedy:
                 ranked = by_latency[rank]
-                if ranked is None:
-                    ranked = by_latency[rank] = sorted((lat_ms[m][rank], m) for m in lat_ms)
+                if ranked is None:  # each model with the later models of its latency, in id order
+                    lats = sorted((lat_ms[m][rank], m) for m in lat_ms)
+                    ranked = by_latency[rank] = [
+                        (m, tuple(t for t_lat, t in lats[i + 1 :] if t_lat == lat)) for i, (lat, m) in enumerate(lats)
+                    ]
                 i = 0
-                while ranked[i][1] not in ready:
+                while ranked[i][0] not in ready:
                     i += 1
-                lat, model = ranked[i]
-                for tied_lat, m in ranked[i + 1 :]:  # ties on latency come in id order
-                    if tied_lat != lat:
-                        break
+                model, ties = ranked[i]
+                for m in ties:
                     if m in ready and dl_of[ready[m]] < dl_of[ready[model]]:
                         model = m
+                p = ready.pop(model)
             else:
                 model = min(ready, key=lambda m: (order[m] - last[rank] - 1) % len(order))
-            if policy == ROUND_ROBIN:
+                p = ready.pop(model)
+            if not greedy:
                 last[rank] = order[model]
-            p = ready.pop(model)
             status[p] = COMPLETED
             unit[p] = unit_ids[rank]
             t_start_us[p] = now

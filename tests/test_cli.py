@@ -350,8 +350,9 @@ def test_out_of_range_sweep_value_fails_before_any_point(tmp_path, capsys):
     [
         ("0.1234567,0.1234568", "0.1234567 and 0.1234568 both name the point file sweep_point_0.123457.json"),
         ("0.2,0.5,0.5", "0.5 and 0.5 both name the point file sweep_point_0.5.json"),
+        ("0,-0", "0 and -0 both name the point file sweep_point_0.json"),
     ],
-    ids=["same-name", "same-value"],
+    ids=["same-name", "same-value", "signed-zero"],
 )
 def test_sweep_values_that_share_a_point_file_are_a_config_error(tmp_path, capsys, values, message):
     out = tmp_path / "s"

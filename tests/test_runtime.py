@@ -306,6 +306,19 @@ def test_round_robin_is_only_choice_regardless_of_cursor():
     assert runs == [("B", 0, "u0", 0.0), ("B", 1, "u0", 10.0), ("C", 0, "u0", 20.0), ("C", 1, "u0", 30.0)]
 
 
+def test_a_lone_round_robin_pick_moves_the_cursor():
+    # B runs alone at 0 ms, so at 10 ms the cursor has passed B: C comes before A
+    arrivals = [("B", 0.0, 1000.0), ("A", 5.0, 1000.0), ("C", 5.0, 1000.0)]
+    runs = _hand_run({"A": 10.0, "B": 10.0, "C": 10.0}, arrivals, "round-robin")
+    assert runs == [("B", 0, "u0", 0.0), ("C", 0, "u0", 10.0), ("A", 0, "u0", 20.0)]
+
+
+def test_latency_greedy_breaks_a_tie_that_its_group_leader_is_not_in():
+    # A, B and C tie on latency; A is not waiting, so B's tie with C decides, by C's earlier deadline
+    runs = _hand_run({"A": 5.0, "B": 5.0, "C": 5.0}, [("B", 0.0, 100.0), ("C", 0.0, 50.0)], "latency-greedy")
+    assert runs == [("C", 0, "u0", 0.0), ("B", 0, "u0", 5.0)]
+
+
 def test_round_robin_keeps_one_cursor_per_unit():
     arrivals = [("A", 0.0, 1000.0), ("B", 0.0, 1000.0), ("C", 5.0, 1000.0), ("A", 8.0, 1000.0), ("B", 8.0, 1000.0)]
     runs = _hand_run({"A": 10.0, "B": 1.0, "C": 10.0}, arrivals, "round-robin", units=2)
