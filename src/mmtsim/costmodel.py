@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ConfigError
-from .workload import SCHEMA_VERSION, UnitModel, check_id, check_keys, json_number, load_json_file
-from .workload import record_to_obj, records_from_obj
+from .workload import SCHEMA_VERSION, UnitModel, check_id, json_number, load_json_file
+from .workload import reading_file, record_to_obj, records_from_obj
 
 FDA = "FDA"
 SFDA = "SFDA"
@@ -211,13 +211,8 @@ def system_to_obj(system: HardwareSystem) -> dict:
 
 
 def system_from_obj(obj: Mapping) -> HardwareSystem:
-    try:
-        keys = ("id", "style", "units")
-        check_keys(obj, "hardware file", ("schema_version", *keys), keys)
-        units = records_from_obj(HardwareUnit, obj["units"], "units")
-        return HardwareSystem(id=obj["id"], style=obj["style"], units=units)
-    except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: `.keys()` on a non-object
-        raise ConfigError(f"malformed hardware file: {exc}") from exc
+    with reading_file(obj, "hardware file", ("id", "style", "units"), "hardware file"):
+        return HardwareSystem(obj["id"], obj["style"], records_from_obj(HardwareUnit, obj["units"], "units"))
 
 
 def load_hardware_file(path) -> HardwareSystem:
@@ -233,12 +228,8 @@ def table_to_obj(table: CostTable) -> dict:
 
 
 def table_from_obj(obj: Mapping) -> CostTable:
-    try:
-        keys = ("e_max_mj", "entries")
-        check_keys(obj, "cost file", ("schema_version", *keys), keys)
+    with reading_file(obj, "cost file", ("e_max_mj", "entries"), "cost table"):
         return CostTable(records_from_obj(CostEntry, obj["entries"], "entries"), e_max_mj=json_number(obj, "e_max_mj"))
-    except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: `.keys()` on a non-object
-        raise ConfigError(f"malformed cost table: {exc}") from exc
 
 
 def load_cost_table_file(path) -> CostTable:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from graphlib import CycleError, TopologicalSorter
 from typing import Collection, Iterable, Mapping
@@ -95,8 +96,11 @@ class UnitModel:
         if self.flops is not None and not 0 < self.flops < math.inf:
             raise ConfigError(f"model {self.id!r}: flops must be positive when given")
         achieved = self.achieved_metric
-        is_number = isinstance(achieved, (int, float)) and not isinstance(achieved, bool)
-        if achieved is not None and not (is_number and math.isfinite(achieved)):
+        try:
+            finite = isinstance(achieved, (int, float)) and not isinstance(achieved, bool) and math.isfinite(achieved)
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError(f"model {self.id!r}: achieved_metric is too large for a float") from None
+        if achieved is not None and not finite:
             raise ConfigError(f"model {self.id!r}: achieved_metric must be a finite number or null")
         if achieved is not None and achieved <= 0 and self.metric_direction == LOWER_IS_BETTER:
             raise ConfigError(f"model {self.id!r}: a lower-is-better achieved_metric must be > 0")
@@ -380,12 +384,10 @@ def with_edge_probability(
 #
 # A record is a JSON object with a key per field of its dataclass, in field
 # order; an absent key takes the field's default. The table holds the rest.
-# A number field is read with json_number, and takes null too when its
-# default is None.
+# A field annotated `float` or `float | None` is read with json_number, and
+# takes null too when its default is None.
 
 FILE_KEYS = {"init_latency": "init_latency_ms", "max_jitter": "max_jitter_ms"}  # field -> key, where they differ
-NUMBER_FIELDS = frozenset({"streaming_rate", "init_latency", "max_jitter", "reported_metric", "flops", "target_rate",
-                           "trigger_probability", "clock_ghz", "power_watts", "latency_ms", "energy_mj"})
 RECORD_LISTS = {"dependencies": DependencyEdge, "entries": ScenarioEntry}  # a list field's records, below the top level
 IMPLIED = {"downstream": "model"}  # an edge's downstream is its entry's model: filled in when read, never written
 RETIRED_KEYS = frozenset({"kind", "accuracy_requirement", "bandwidth_gbps", "shared_mem_mib"})  # read and ignored
@@ -401,16 +403,26 @@ def record_to_obj(value):
 
 def check_keys(obj: Mapping, where: str, keys: Collection[str], required: Iterable[str]) -> None:
     """A ConfigError for the first key of `obj`, found at `where`, that is neither one of `keys` nor
-    retired, then for the first of `required` that it lacks, or for a schema_version other than
-    SCHEMA_VERSION; a file without one is version 1. This holds at a file's top level and in each record."""
-    for key in obj.keys():  # an AttributeError on a non-object, which each file parser reports as malformed
+    retired, then for the first of `required` that it lacks. This holds at a file's top level and in each record."""
+    for key in obj.keys():  # an AttributeError on a non-object, which `reading_file` reports as malformed
         if key not in keys and key not in RETIRED_KEYS:
             raise ConfigError(f"{where}: unknown key {key!r} (expected one of {', '.join(keys)})")
     for key in required:
         if key not in obj:
             raise ConfigError(f"{where}: missing key {key!r}")
-    if obj.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:  # only a file's top level allows the key
-        raise ConfigError(f"{where}: schema_version must be {SCHEMA_VERSION!r}, not {obj['schema_version']!r}")
+
+
+@contextmanager
+def reading_file(obj: Mapping, where: str, keys: tuple[str, ...], malformed: str):
+    """Each file reader's frame: `obj`, a file's top level found at `where`, holds `keys` and may hold a schema_version
+    of SCHEMA_VERSION, the version of a file without one. A read error inside is a ConfigError `malformed …`."""
+    try:
+        check_keys(obj, where, ("schema_version", *keys), keys)
+        if obj.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+            raise ConfigError(f"{where}: schema_version must be {SCHEMA_VERSION!r}, not {obj['schema_version']!r}")
+        yield
+    except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: `.keys()` on a non-object
+        raise ConfigError(f"malformed {malformed}: {exc}") from exc
 
 
 def json_list(value, where: str) -> list:
@@ -449,7 +461,7 @@ def record_from_obj(cls, obj: Mapping, where: str, outer: Mapping | None = None)
             value = records_from_obj(RECORD_LISTS[f.name], value, f"{where}.{key}", values)
         elif f.type.startswith("tuple"):  # a tuple of ids; `f.type` is the annotation's text
             value = tuple(json_list(value, f"{where}.{key}"))
-        elif f.name in NUMBER_FIELDS and not (value is None and f.default is None):
+        elif f.type in ("float", "float | None") and not (value is None and f.default is None):
             value = json_number(obj, key)
         values[f.name] = value
     return cls(**values)
@@ -467,14 +479,10 @@ def config_to_obj(config: SuiteConfig) -> dict:
 
 def config_from_obj(obj: Mapping) -> SuiteConfig:
     """Parse the suite file schema back into a SuiteConfig."""
-    try:
-        keys = ("input_sources", "models", "scenarios")
-        check_keys(obj, "suite file", ("schema_version", *keys), keys)
+    with reading_file(obj, "suite file", ("input_sources", "models", "scenarios"), "suite specification"):
         sources = records_by_id(InputSource, obj["input_sources"], "input_sources")
         models = records_by_id(UnitModel, obj["models"], "models")
         scenarios = records_from_obj(UsageScenario, obj["scenarios"], "scenarios")
-    except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: `.keys()` on a non-object
-        raise ConfigError(f"malformed suite specification: {exc}") from exc
     return SuiteConfig(sources=sources, models=models, suite=BenchmarkSuite(scenarios=scenarios))
 
 

@@ -502,6 +502,11 @@ WRONGLY_TYPED_FIELDS = {
         lambda o: o["scenarios"][0]["entries"][0].update(model=["HT"]),
         "scenario entry model id must be a string, not ['HT']",
     ),
+    "suite-achieved-string": (
+        "--suite",
+        lambda o: o["models"][0].update(achieved_metric="abc"),
+        "achieved_metric must be a number, not 'abc'",
+    ),
 }
 
 
@@ -579,6 +584,11 @@ REFUSED_VALUES = {
         lambda o: o["models"].append(dict(o["models"][0], flops=1.0)),
         "models[11]: duplicate id 'HT'",
     ),
+    "suite-achieved-beyond-float": (
+        "--suite",
+        lambda o: o["models"][0].update(achieved_metric=10**400),
+        "malformed suite specification: achieved_metric is too large for a float",
+    ),
 }
 
 
@@ -617,6 +627,15 @@ def test_a_flops_that_is_not_finite_fails_validate(tmp_path, capsys, value):
     path.write_text(json.dumps(obj))  # NaN and Infinity as JSON's non-standard literals
     assert main(["validate", "--suite", str(path)]) == 2
     assert capsys.readouterr().err == "error: model 'HT': flops must be positive when given\n"
+
+
+def test_an_achieved_metric_beyond_the_float_range_fails_validate(tmp_path, capsys):
+    obj = config_to_obj(builtin_config())
+    obj["models"][0]["achieved_metric"] = 10**400
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", "--suite", str(path)]) == 2
+    assert capsys.readouterr().err == "error: malformed suite specification: achieved_metric is too large for a float\n"
 
 
 @pytest.mark.parametrize("flag", ["--suite", "--hw", "--costs"])

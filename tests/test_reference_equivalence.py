@@ -5,7 +5,19 @@ from dataclasses import replace
 
 import pytest
 
-from mmtsim import builtin_config, generate_requests, simulate, synthetic_table
+from mmtsim import (
+    CostEntry,
+    CostTable,
+    HardwareSystem,
+    HardwareUnit,
+    InputSource,
+    ScenarioEntry,
+    UnitModel,
+    builtin_config,
+    generate_requests,
+    simulate,
+    synthetic_table,
+)
 from mmtsim.costmodel import preset_system
 from mmtsim.runtime import DROPPED, LATENCY_GREEDY, ROUND_ROBIN, UNTRIGGERED
 from mmtsim.workload import UsageScenario, with_edge_probability
@@ -61,6 +73,34 @@ def test_fuzzed_setups_with_latency_ties_match_reference(policy):
         stream = generate_requests(scenario, sources, models, 0.5, seed=i)
         _assert_same(scenario, stream, hw, costs, policy)
     assert tied >= 20
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_fuzzed_ties_behind_a_tied_model_that_is_not_waiting_match_reference(policy):
+    # three to five models tie on unit u0, and the lowest-id one samples at a
+    # lower rate: it is often not waiting, so the later tied models decide the
+    # tie among themselves, by deadline and then by id
+    rng = random.Random(6262)
+    for i in range(12):
+        sources = {
+            f"src{j}": InputSource(f"src{j}", streaming_rate=60.0, init_latency=rng.choice([0.0, 2.0, 7.0]))
+            for j in range(rng.randint(1, 2))
+        }
+        ids = [f"m{j}" for j in range(rng.randint(3, 5))]
+        models = {m: UnitModel(id=m, input_sources=(rng.choice(list(sources)),)) for m in ids}
+        rates = [rng.choice([3.0, 5.0])] + [rng.choice([10.0, 15.0, 30.0, 45.0, 60.0]) for _ in ids[1:]]
+        scenario = UsageScenario(
+            id=f"lagging-tie-{i}", entries=tuple(ScenarioEntry(m, rate) for m, rate in zip(ids, rates))
+        )
+        units = tuple(HardwareUnit(f"u{j}", "WS", 1024) for j in range(rng.randint(1, 2)))
+        tie_ms = rng.choice([5.0, 10.0, 20.0])
+        costs = CostTable(
+            [CostEntry(m, u.id, tie_ms if u.id == "u0" else rng.uniform(1.0, 30.0), 1.0) for m in ids for u in units],
+            e_max_mj=50.0,
+        )
+        hw = HardwareSystem("lagging-tie-hw", "FDA" if len(units) == 1 else "SFDA", units)
+        stream = generate_requests(scenario, sources, models, 0.5, seed=i)
+        _assert_same(scenario, stream, hw, costs, policy)
 
 
 @pytest.mark.parametrize("policy", POLICIES)

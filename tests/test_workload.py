@@ -142,6 +142,18 @@ def test_lower_is_better_achieved_metric_must_be_positive():
     assert replace(_model(10.0, HIGHER_IS_BETTER), achieved_metric=0.0).achieved_metric == 0.0
 
 
+def test_an_achieved_metric_beyond_the_float_range_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"^model 'X': achieved_metric is too large for a float$"):
+        UnitModel(id="X", input_sources=("camera",), achieved_metric=10**400)
+
+
+def test_an_integer_achieved_metric_in_a_suite_file_is_read_as_a_float():
+    obj = config_to_obj(builtin_config())
+    obj["models"][0]["achieved_metric"] = 2
+    achieved = config_from_obj(obj).models["HT"].achieved_metric
+    assert type(achieved) is float and achieved == 2.0
+
+
 def test_max_jitter_must_stay_below_half_a_frame_period():
     with pytest.raises(ConfigError, match=r"input source 'cam': max_jitter must be in \[0, 8.33333\) ms"):
         InputSource("cam", streaming_rate=60.0, max_jitter=500 / 60)
